@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .corpus import file_descriptor_spec
 from .errors import CapacityError
 from .partial import DEFAULT_CLOSURE_CAP, partial_derivatives
 from .syntax import Regex, Symbol, alphabet, format_regex, has_eps
@@ -95,15 +94,3 @@ def build_nfa(e: Regex, *, cap: int = DEFAULT_CLOSURE_CAP) -> Nfa:
                 transitions.append((source, symbol, index[target]))
     finals = frozenset(i for i, state in enumerate(states) if has_eps(state))
     return Nfa(tuple(states), 0, tuple(transitions), finals)
-
-
-def state_growth_bench(n: int) -> int:
-    """State count of the NFA for n interleaved open/access/close sessions.
-
-    The specification is ``o1 a1 c1 || ... || on an cn`` over 3n
-    distinct symbols; each session contributes a factor of 4 reachable
-    states, so the count observed here is 4^n.
-    """
-    if not 1 <= n <= 8:
-        raise ValueError("n must be between 1 and 8")
-    return len(build_nfa(file_descriptor_spec(n)).states)

@@ -17,6 +17,7 @@ the invariant on actual derivation steps and report per member.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .partial import partial_derivatives
 from .syntax import (
@@ -125,22 +126,24 @@ class BoundReport:
         return self.metric_after + self.bound_after <= self.metric_before + self.bound_before
 
 
-def check_height_invariant(e: Regex, symbol: Symbol) -> list[BoundReport]:
-    """Height reports for every partial derivative of ``e`` by ``symbol``."""
-    h, b = height(e), height_increment_bound(e)
+def _reports(
+    e: Regex, symbol: Symbol, metric: Callable[[Regex], int], budget: Callable[[Regex], int]
+) -> list[BoundReport]:
+    m, b = metric(e), budget(e)
     return [
-        BoundReport(d, h, height(d), b, height_increment_bound(d), symbol)
+        BoundReport(d, m, metric(d), b, budget(d), symbol)
         for d in sorted(partial_derivatives(e, symbol), key=format_regex)
     ]
+
+
+def check_height_invariant(e: Regex, symbol: Symbol) -> list[BoundReport]:
+    """Height reports for every partial derivative of ``e`` by ``symbol``."""
+    return _reports(e, symbol, height, height_increment_bound)
 
 
 def check_size_invariant(e: Regex, symbol: Symbol) -> list[BoundReport]:
     """Size reports for every partial derivative of ``e`` by ``symbol``."""
-    s, b = size(e), size_increment_bound(e)
-    return [
-        BoundReport(d, s, size(d), b, size_increment_bound(d), symbol)
-        for d in sorted(partial_derivatives(e, symbol), key=format_regex)
-    ]
+    return _reports(e, symbol, size, size_increment_bound)
 
 
 def star_chain_growth(n: int) -> tuple[int, int]:

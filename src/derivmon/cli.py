@@ -2,12 +2,14 @@
 
 Subcommands: derive, pderive, closure, bounds, nfa, oracle, monitor,
 fuzz.  Monitor runs exit with 0/1/2 for ACCEPTING/PENDING/VIOLATION;
-input problems (unparsable expressions, missing files) exit with 3.
+input problems (unparsable expressions, missing files) exit with 3; an
+internal failure such as a RecursionError exits with 4, never as a verdict.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -16,7 +18,7 @@ from . import bounds as bounds_mod
 from . import corpus, derivative, oracle, partial
 from .automaton import build_nfa
 from .errors import CapacityError
-from .monitor import TraceStats, current_verdict, new_session, step
+from .monitor import MonitorSession, current_verdict, run_trace
 from .syntax import (
     ParseError,
     Regex,
@@ -30,6 +32,7 @@ from .syntax import (
 )
 
 _INPUT_ERROR = 3
+_INTERNAL_ERROR = 4
 
 
 def _word_from_args(symbols: list[str]) -> Word:
@@ -112,39 +115,21 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         trace_text = sys.stdin.read()
     else:
         trace_text = Path(args.trace_file).read_text()
-    events = parse_word(trace_text)
 
-    session = new_session(spec)
-    history = [len(session.frontier)]
-    for index, event in enumerate(events, start=1):
-        session = step(session, event)
-        history.append(len(session.frontier))
-        if args.step:
-            verdict_here = current_verdict(session)
-            print(f"{index} {event} {verdict_here.value} {len(session.frontier)}")
-    verdict = current_verdict(session)
+    def print_step(event: str, session: MonitorSession) -> None:
+        verdict_here = current_verdict(session).value
+        print(f"{session.events_seen} {event} {verdict_here} {len(session.frontier)}")
+
+    hook = print_step if args.step else None
+    verdict, stats = run_trace(spec, parse_word(trace_text), hook)
     print(verdict.value)
     if args.stats:
-        stats = TraceStats(
-            events=session.events_seen,
-            verdict=verdict,
-            max_size=session.max_size_seen,
-            max_height=session.max_height_seen,
-            size_budget=bounds_mod.size_budget(spec),
-            height_budget=bounds_mod.height_budget(spec),
-            frontier_history=tuple(history),
-        )
         Path(args.stats).write_text(json.dumps(stats.to_json_dict(), indent=2) + "\n")
     return verdict.exit_code
 
 
 def _all_words(symbols: list[str], max_len: int) -> list[Word]:
-    words: list[Word] = [()]
-    frontier: list[Word] = [()]
-    for _ in range(max_len):
-        frontier = [w + (s,) for w in frontier for s in symbols]
-        words.extend(frontier)
-    return words
+    return [w for n in range(max_len + 1) for w in itertools.product(symbols, repeat=n)]
 
 
 def _check_expression(e: Regex, word_len: int) -> str | None:
@@ -260,6 +245,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _INPUT_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return _INTERNAL_ERROR
 
 
 def run() -> None:

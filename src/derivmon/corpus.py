@@ -22,6 +22,7 @@ from .syntax import (
     Star,
     Sym,
     Word,
+    children,
     format_regex,
     size,
 )
@@ -211,28 +212,6 @@ def worked_examples() -> list[CorpusEntry]:
     ]
 
 
-def _children(e: Regex) -> tuple[Regex, ...]:
-    match e:
-        case Cat(left, right) | Or(left, right) | Shuffle(left, right):
-            return (left, right)
-        case Star(body):
-            return (body,)
-    return ()
-
-
-def _rebuild(e: Regex, kids: tuple[Regex, ...]) -> Regex:
-    match e:
-        case Cat():
-            return Cat(*kids)
-        case Or():
-            return Or(*kids)
-        case Shuffle():
-            return Shuffle(*kids)
-        case Star():
-            return Star(*kids)
-    return e
-
-
 def shrink_regex(e: Regex, predicate: Callable[[Regex], bool]) -> Regex:
     """Greedily minimize ``e`` while ``predicate`` keeps holding.
 
@@ -241,13 +220,13 @@ def shrink_regex(e: Regex, predicate: Callable[[Regex], bool]) -> Regex:
     """
     current = e
     while True:
-        candidates: list[Regex] = list(_children(current))
-        kids = _children(current)
+        kids = children(current)
+        candidates: list[Regex] = list(kids)
         for i, child in enumerate(kids):
-            for grandchild in _children(child):
+            for grandchild in children(child):
                 replaced = list(kids)
                 replaced[i] = grandchild
-                candidates.append(_rebuild(current, tuple(replaced)))
+                candidates.append(type(current)(*replaced))
         candidates = [c for c in set(candidates) if size(c) < size(current)]
         candidates.sort(key=lambda c: (size(c), format_regex(c)))
         for candidate in candidates:

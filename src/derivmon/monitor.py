@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .bounds import height_budget, size_budget
 from .partial import step_frontier
@@ -101,13 +101,22 @@ class TraceStats:
         }
 
 
-def run_trace(spec: Regex, trace: Sequence[Symbol]) -> tuple[Verdict, TraceStats]:
-    """Fold a whole trace through a fresh session and report statistics."""
+def run_trace(
+    spec: Regex,
+    trace: Sequence[Symbol],
+    on_step: Callable[[Symbol, MonitorSession], None] | None = None,
+) -> tuple[Verdict, TraceStats]:
+    """Fold a whole trace through a fresh session and report statistics.
+
+    ``on_step(event, session)``, when given, sees the session after each event.
+    """
     session = new_session(spec)
     history = [len(session.frontier)]
     for event in trace:
         session = step(session, event)
         history.append(len(session.frontier))
+        if on_step is not None:
+            on_step(event, session)
     verdict = current_verdict(session)
     stats = TraceStats(
         events=session.events_seen,

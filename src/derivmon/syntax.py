@@ -154,34 +154,28 @@ def size(e: Regex) -> int:
     raise TypeError(f"not a Regex: {e!r}")
 
 
+def children(e: Regex) -> tuple[Regex, ...]:
+    """The direct subexpressions of ``e``, left to right."""
+    match e:
+        case Cat(left, right) | Or(left, right) | Shuffle(left, right):
+            return (left, right)
+        case Star(body):
+            return (body,)
+    return ()
+
+
 def alphabet(e: Regex) -> frozenset[Symbol]:
     """The set of symbol names occurring in ``e``."""
-    out: set[Symbol] = set()
-    stack = [e]
-    while stack:
-        match stack.pop():
-            case Sym(name):
-                out.add(name)
-            case Cat(left, right) | Or(left, right) | Shuffle(left, right):
-                stack.append(left)
-                stack.append(right)
-            case Star(body):
-                stack.append(body)
-    return frozenset(out)
+    return frozenset(node.name for node in subterms(e) if isinstance(node, Sym))
 
 
 def subterms(e: Regex) -> Iterator[Regex]:
-    """Yield ``e`` and all of its subexpressions, parents first."""
+    """Yield ``e`` and all of its subexpressions, parents first, left to right."""
     stack = [e]
     while stack:
         node = stack.pop()
         yield node
-        match node:
-            case Cat(left, right) | Or(left, right) | Shuffle(left, right):
-                stack.append(right)
-                stack.append(left)
-            case Star(body):
-                stack.append(body)
+        stack.extend(reversed(children(node)))
 
 
 # Rendering levels, loosest binding first.  A node is parenthesized when
@@ -229,6 +223,9 @@ class _Token:
     col: int
 
 
+_ONE_CHAR_KINDS = {"(": "lparen", ")": "rparen", "*": "star", "+": "plus", "0": "zero"}
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     line, col = 1, 1
@@ -244,26 +241,14 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             continue
         start_col = col
-        if c == "(":
-            tokens.append(_Token("lparen", c, line, start_col))
-            i, col = i + 1, col + 1
-        elif c == ")":
-            tokens.append(_Token("rparen", c, line, start_col))
-            i, col = i + 1, col + 1
-        elif c == "*":
-            tokens.append(_Token("star", c, line, start_col))
-            i, col = i + 1, col + 1
-        elif c == "+":
-            tokens.append(_Token("plus", c, line, start_col))
+        if c in _ONE_CHAR_KINDS:
+            tokens.append(_Token(_ONE_CHAR_KINDS[c], c, line, start_col))
             i, col = i + 1, col + 1
         elif c == "|":
             if text[i : i + 2] != "||":
                 raise ParseError(f"{line}:{start_col}: expected '||'")
             tokens.append(_Token("shuffle", "||", line, start_col))
             i, col = i + 2, col + 2
-        elif c == "0":
-            tokens.append(_Token("zero", c, line, start_col))
-            i, col = i + 1, col + 1
         elif c.isalpha():
             j = i + 1
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from derivmon.automaton import Nfa, build_nfa, state_growth_bench
+from derivmon.automaton import Nfa, build_nfa
 from derivmon.bounds import height_budget, size_budget
 from derivmon.corpus import file_descriptor_spec
 from derivmon.errors import CapacityError
@@ -121,13 +121,9 @@ class TestDeterminism:
 
 class TestStateGrowthBench:
     def test_exponential_state_counts(self):
-        assert [state_growth_bench(n) for n in (1, 2, 3)] == [4, 16, 64]
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            state_growth_bench(0)
-        with pytest.raises(ValueError):
-            state_growth_bench(9)
+        assert [
+            len(build_nfa(file_descriptor_spec(n)).states) for n in (1, 2, 3)
+        ] == [4, 16, 64]
 
     def test_states_stay_quadratically_small_while_counts_explode(self):
         spec = file_descriptor_spec(3)

@@ -1,6 +1,7 @@
 import json
 
 from derivmon.cli import main
+from derivmon.syntax import parse, size
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +168,28 @@ class TestMonitor:
         assert code == 2
         assert out.strip() == "VIOLATION"
 
+    def test_library_crash_exits_4_not_a_verdict(self, tmp_path, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("derivmon.cli.run_trace", crash)
+        spec = self.write(tmp_path, "spec.txt", "a b")
+        trace = self.write(tmp_path, "trace.txt", "a b")
+        code, out, err = run_cli(capsys, "monitor", spec, trace)
+        assert code == 4
+        assert "internal error: RecursionError" in err
+        assert out == ""
+
+    def test_long_sequence_spec_never_reads_as_a_wrong_verdict(self, tmp_path, capsys):
+        events = " ".join(f"e{i}" for i in range(600))
+        spec = self.write(tmp_path, "spec.txt", events)
+        trace = self.write(tmp_path, "trace.txt", events)
+        code, out, _ = run_cli(capsys, "monitor", spec, trace)
+        # ACCEPTING is the only correct verdict; a crash must exit 4, not 1 or 2.
+        assert code in (0, 4)
+        if code == 0:
+            assert out.strip() == "ACCEPTING"
+
 
 class TestFuzz:
     def test_small_clean_run(self, capsys):
@@ -177,3 +200,12 @@ class TestFuzz:
     def test_without_shuffle(self, capsys):
         code, out, _ = run_cli(capsys, "fuzz", "--count", "25", "--seed", "6")
         assert code == 0
+
+    def test_disagreement_is_reported_and_shrunk(self, capsys, monkeypatch):
+        monkeypatch.setattr("derivmon.derivative.accepts", lambda e, word: False)
+        code, out, _ = run_cli(capsys, "fuzz", "--count", "25", "--seed", "5", "--shuffle")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0].startswith("FAIL: derivative disagrees with oracle")
+        assert lines[1].startswith("counterexample: ")
+        assert size(parse(lines[1].removeprefix("counterexample: "))) == 1

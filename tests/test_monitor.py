@@ -125,6 +125,17 @@ class TestRunTrace:
         assert (verdict is Verdict.ACCEPTING) == accepts_by_partial(e, w)
         assert (verdict is Verdict.ACCEPTING) == is_member(e, w)
 
+    @given(regexes(max_leaves=6), words(max_len=4))
+    @settings(max_examples=80)
+    def test_on_step_sees_every_event_in_order(self, e, w):
+        seen = []
+        verdict, stats = run_trace(e, w, lambda event, session: seen.append((event, session)))
+        assert [event for event, _ in seen] == list(w)
+        assert [session.events_seen for _, session in seen] == list(range(1, len(w) + 1))
+        assert tuple(len(session.frontier) for _, session in seen) == stats.frontier_history[1:]
+        if seen:
+            assert current_verdict(seen[-1][1]) is verdict
+
     @given(regexes(max_leaves=6), words(max_len=4), words(max_len=3))
     @settings(max_examples=60)
     def test_violation_is_prefix_monotone(self, e, w, extension):
