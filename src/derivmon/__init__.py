@@ -10,8 +10,12 @@ space-budget functions (:mod:`.bounds`), the NFA construction
 everything else, and :mod:`.corpus` provides seeded random expressions
 plus the golden example set.
 
-All values are immutable and all functions are pure, so everything here
-is safe to share across threads; a monitor session is advanced by
+Every expression node stores its nullability, size, height and hash
+when it is built, so those are constant-time reads; derivatives stay in
+the paper's raw, unsimplified form.  Nodes are immutable by convention
+(nothing assigns to a built node), the other values are immutable, and
+all functions are pure and keep no state between calls, so everything
+here is safe to share across threads; a monitor session is advanced by
 building a new session rather than mutating the old one.
 """
 

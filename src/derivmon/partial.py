@@ -33,6 +33,7 @@ from .syntax import (
 )
 
 DEFAULT_CLOSURE_CAP = 1_000_000
+_NO_DERIVATIVES: frozenset[Regex] = frozenset()
 
 
 def partial_derivatives(e: Regex, symbol: Symbol) -> frozenset[Regex]:
@@ -41,25 +42,55 @@ def partial_derivatives(e: Regex, symbol: Symbol) -> frozenset[Regex]:
     ``0``, ``eps`` and mismatched symbols have no derivatives at all;
     a nullable left factor lets concatenation step into its right side.
     """
-    match e:
-        case Empty() | Eps():
-            return frozenset()
-        case Sym(name):
-            return frozenset({Eps()}) if name == symbol else frozenset()
-        case Cat(left, right):
-            out = {Cat(d, right) for d in partial_derivatives(left, symbol)}
-            if has_eps(left):
-                out |= partial_derivatives(right, symbol)
-            return frozenset(out)
-        case Or(left, right):
-            return partial_derivatives(left, symbol) | partial_derivatives(right, symbol)
-        case Star(body):
-            return frozenset({Cat(d, e) for d in partial_derivatives(body, symbol)})
-        case Shuffle(left, right):
-            lefts = {Shuffle(d, right) for d in partial_derivatives(left, symbol)}
-            rights = {Shuffle(left, d) for d in partial_derivatives(right, symbol)}
-            return frozenset(lefts | rights)
-    raise TypeError(f"not a Regex: {e!r}")
+    # Collect the subterms the step needs, each before its children: a
+    # concatenation needs its right side only when its left side is nullable.
+    needed: list[Regex] = []
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        needed.append(node)
+        kind = type(node)
+        if kind is Cat:
+            stack.append(node.left)
+            if node.left.nullable:
+                stack.append(node.right)
+        elif kind is Or or kind is Shuffle:
+            stack.append(node.left)
+            stack.append(node.right)
+        elif kind is Star:
+            stack.append(node.body)
+    # Each subtree is a contiguous run of ``needed``, so in reverse every
+    # node comes right after its children, whose results then sit on top
+    # of ``results``: the right side's above the left side's.
+    results: list[frozenset[Regex]] = []
+    for node in reversed(needed):
+        kind = type(node)
+        if kind is Cat:
+            right = node.right
+            after = results.pop() if node.left.nullable else _NO_DERIVATIVES
+            steps = results.pop()
+            out = frozenset([Cat(d, right) for d in steps]).union(after) if steps else after
+        elif kind is Sym:
+            out = frozenset([Eps()]) if node.name == symbol else _NO_DERIVATIVES
+        elif kind is Or:
+            after = results.pop()
+            out = results.pop() | after
+        elif kind is Star:
+            steps = results.pop()
+            out = frozenset([Cat(d, node) for d in steps]) if steps else _NO_DERIVATIVES
+        elif kind is Shuffle:
+            left, right = node.left, node.right
+            rights = results.pop()
+            lefts = results.pop()
+            out = frozenset(
+                [Shuffle(d, right) for d in lefts] + [Shuffle(left, d) for d in rights]
+            )
+        elif kind is Empty or kind is Eps:
+            out = _NO_DERIVATIVES
+        else:
+            raise TypeError(f"not a Regex: {node!r}")
+        results.append(out)
+    return results[0]
 
 
 def step_frontier(frontier: Iterable[Regex], symbol: Symbol) -> frozenset[Regex]:

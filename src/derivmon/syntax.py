@@ -9,10 +9,14 @@ shuffle (interleaving) operator.  Operator precedence, tightest first:
 star, juxtaposition (concatenation), ``+`` (union), ``||`` (shuffle);
 the binary operators associate to the left.
 
-Expression trees are immutable and compared structurally.  No
-simplification is ever applied by this package: derivatives are kept in
-raw syntactic form because the space bounds measured elsewhere are
-claims about exactly that raw form.
+Every node stores its nullability, size, height and structural hash
+when it is built, so :func:`has_eps`, :func:`size` and :func:`height`
+are attribute reads and hashing costs nothing per call.  Nodes are
+immutable by convention and compared structurally.  Equality and
+:func:`format_regex` walk the tree with an explicit stack, so they work
+at any depth.  No simplification is ever applied by this package:
+derivatives are kept in raw syntactic form because the space bounds
+measured elsewhere are claims about exactly that raw form.
 """
 
 from __future__ import annotations
@@ -32,64 +36,155 @@ class ParseError(ValueError):
     """Raised on malformed concrete syntax; messages carry line:column."""
 
 
-@dataclass(frozen=True)
 class Regex:
-    """Base class of expression nodes; equality and hashing are structural."""
+    """Base class of expression nodes.
+
+    Each constructor stores four facts about the tree it roots, computed
+    once from the children's stored values: ``nullable`` (the language
+    contains the empty word), ``size`` (number of tree nodes), ``height``
+    (constants and symbols sit at 0) and a structural hash.  Nodes are
+    immutable by convention: nothing assigns to a built node, and the
+    stored facts would go stale if anything did.  Equality is structural.
+    """
+
+    __slots__ = ("nullable", "size", "height", "_hash")
+
+    nullable: bool
+    size: int
+    height: int
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        # Walks both trees with an explicit stack, pruning shared subtrees;
+        # a type, hash or size mismatch settles inequality at once.
+        if self is other:
+            return True
+        if not isinstance(other, Regex):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            kind = type(a)
+            if kind is not type(b) or a._hash != b._hash or a.size != b.size:
+                return False
+            if kind is Sym:
+                if a.name != b.name:
+                    return False
+            elif kind is Star:
+                stack.append((a.body, b.body))
+            elif kind is not Empty and kind is not Eps:
+                stack.append((a.right, b.right))
+                stack.append((a.left, b.left))
+        return True
+
+    def __repr__(self) -> str:
+        return f"parse({format_regex(self)!r})"
 
     def __str__(self) -> str:
         return format_regex(self)
 
 
-@dataclass(frozen=True)
 class Empty(Regex):
     """The empty language: 0."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+    def __init__(self) -> None:
+        self.nullable = False
+        self.size = 1
+        self.height = 0
+        self._hash = hash((0,))
+
+
 class Eps(Regex):
     """The language containing only the empty word: eps."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+    def __init__(self) -> None:
+        self.nullable = True
+        self.size = 1
+        self.height = 0
+        self._hash = hash((1,))
+
+
 class Sym(Regex):
     """A single event symbol."""
 
-    name: Symbol
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
 
-    def __post_init__(self) -> None:
-        if not _SYMBOL_RE.match(self.name):
-            raise ValueError(f"invalid symbol name: {self.name!r}")
+    def __init__(self, name: Symbol) -> None:
+        if not _SYMBOL_RE.match(name):
+            raise ValueError(f"invalid symbol name: {name!r}")
+        self.name = name
+        self.nullable = False
+        self.size = 1
+        self.height = 0
+        self._hash = hash((2, name))
 
 
-@dataclass(frozen=True)
 class Cat(Regex):
     """Concatenation: e0 e1."""
 
-    left: Regex
-    right: Regex
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: Regex, right: Regex) -> None:
+        self.left = left
+        self.right = right
+        self.nullable = left.nullable and right.nullable
+        self.size = left.size + right.size + 1
+        self.height = (left.height if left.height > right.height else right.height) + 1
+        self._hash = hash((3, left._hash, right._hash))
 
 
-@dataclass(frozen=True)
 class Or(Regex):
     """Union: e0 + e1."""
 
-    left: Regex
-    right: Regex
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: Regex, right: Regex) -> None:
+        self.left = left
+        self.right = right
+        self.nullable = left.nullable or right.nullable
+        self.size = left.size + right.size + 1
+        self.height = (left.height if left.height > right.height else right.height) + 1
+        self._hash = hash((4, left._hash, right._hash))
 
 
-@dataclass(frozen=True)
 class Star(Regex):
     """Kleene star: e*."""
 
-    body: Regex
+    __slots__ = ("body",)
+    __match_args__ = ("body",)
+
+    def __init__(self, body: Regex) -> None:
+        self.body = body
+        self.nullable = True
+        self.size = body.size + 1
+        self.height = body.height + 1
+        self._hash = hash((5, body._hash))
 
 
-@dataclass(frozen=True)
 class Shuffle(Regex):
     """Shuffle: all order-preserving interleavings of e0 and e1."""
 
-    left: Regex
-    right: Regex
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: Regex, right: Regex) -> None:
+        self.left = left
+        self.right = right
+        self.nullable = left.nullable and right.nullable
+        self.size = left.size + right.size + 1
+        self.height = (left.height if left.height > right.height else right.height) + 1
+        self._hash = hash((6, left._hash, right._hash))
 
 
 class EpsFlag(Enum):
@@ -116,42 +211,22 @@ class EpsFlag(Enum):
         return Eps() if self else Empty()
 
 
+_EPS, _ZERO = EpsFlag.EPS, EpsFlag.ZERO
+
+
 def has_eps(e: Regex) -> EpsFlag:
     """EPS iff the empty word belongs to the language of ``e``."""
-    match e:
-        case Empty() | Sym():
-            return EpsFlag.ZERO
-        case Eps() | Star():
-            return EpsFlag.EPS
-        case Cat(left, right) | Shuffle(left, right):
-            return has_eps(left) & has_eps(right)
-        case Or(left, right):
-            return has_eps(left) | has_eps(right)
-    raise TypeError(f"not a Regex: {e!r}")
+    return _EPS if e.nullable else _ZERO
 
 
 def height(e: Regex) -> int:
     """Tree height; constants and symbols sit at height 0."""
-    match e:
-        case Empty() | Eps() | Sym():
-            return 0
-        case Cat(left, right) | Or(left, right) | Shuffle(left, right):
-            return max(height(left), height(right)) + 1
-        case Star(body):
-            return height(body) + 1
-    raise TypeError(f"not a Regex: {e!r}")
+    return e.height
 
 
 def size(e: Regex) -> int:
     """Number of nodes of the expression tree."""
-    match e:
-        case Empty() | Eps() | Sym():
-            return 1
-        case Cat(left, right) | Or(left, right) | Shuffle(left, right):
-            return size(left) + size(right) + 1
-        case Star(body):
-            return size(body) + 1
-    raise TypeError(f"not a Regex: {e!r}")
+    return e.size
 
 
 def children(e: Regex) -> tuple[Regex, ...]:
@@ -183,36 +258,54 @@ def subterms(e: Regex) -> Iterator[Regex]:
 _SHUFFLE, _OR, _CAT, _STAR, _ATOM = range(5)
 
 
+# Binary operators: own level, left operand's level, separator, right
+# operand's level.
+_BINARY_LAYOUT = {
+    Cat: (_CAT, _CAT, " ", _STAR),
+    Or: (_OR, _OR, " + ", _CAT),
+    Shuffle: (_SHUFFLE, _SHUFFLE, " || ", _OR),
+}
+
+
 def format_regex(e: Regex) -> str:
     """Render ``e`` with minimal parentheses; inverse of :func:`parse`.
 
     The star of anything but a constant or a symbol is parenthesized, so
     nested stars read ``((a*)*)*``.
     """
-    return _format(e, _SHUFFLE)
-
-
-def _format(e: Regex, level: int) -> str:
-    match e:
-        case Empty():
-            return "0"
-        case Eps():
-            return "eps"
-        case Sym(name):
-            return name
-        case Star(body):
-            text = _format(body, _ATOM) + "*"
-            return f"({text})" if level > _STAR else text
-        case Cat(left, right):
-            text = f"{_format(left, _CAT)} {_format(right, _STAR)}"
-            return f"({text})" if level > _CAT else text
-        case Or(left, right):
-            text = f"{_format(left, _OR)} + {_format(right, _CAT)}"
-            return f"({text})" if level > _OR else text
-        case Shuffle(left, right):
-            text = f"{_format(left, _SHUFFLE)} || {_format(right, _OR)}"
-            return f"({text})" if level > _SHUFFLE else text
-    raise TypeError(f"not a Regex: {e!r}")
+    parts: list[str] = []
+    # Pending output, last item first: literal text or (node, level) pairs.
+    todo: list[str | tuple[Regex, int]] = [(e, _SHUFFLE)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        node, level = item
+        kind = type(node)
+        if kind is Sym:
+            parts.append(node.name)
+        elif kind is Empty:
+            parts.append("0")
+        elif kind is Eps:
+            parts.append("eps")
+        elif kind is Star:
+            if level > _STAR:
+                parts.append("(")
+                todo.append(")")
+            todo.append("*")
+            todo.append((node.body, _ATOM))
+        elif kind in _BINARY_LAYOUT:
+            own, left_level, separator, right_level = _BINARY_LAYOUT[kind]
+            if level > own:
+                parts.append("(")
+                todo.append(")")
+            todo.append((node.right, right_level))
+            todo.append(separator)
+            todo.append((node.left, left_level))
+        else:
+            raise TypeError(f"not a Regex: {node!r}")
+    return "".join(parts)
 
 
 @dataclass(frozen=True)

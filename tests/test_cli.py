@@ -190,6 +190,33 @@ class TestMonitor:
         if code == 0:
             assert out.strip() == "ACCEPTING"
 
+    def test_long_sequence_spec_accepts_its_trace(self, tmp_path, capsys):
+        events = " ".join(f"e{i}" for i in range(600))
+        spec = self.write(tmp_path, "spec.txt", events)
+        trace = self.write(tmp_path, "trace.txt", events)
+        code, out, _ = run_cli(capsys, "monitor", spec, trace)
+        assert code == 0
+        assert out.strip() == "ACCEPTING"
+
+
+class TestDeepSpecs:
+    """Specs nested 10^4 deep print instead of failing with exit 4."""
+
+    def test_pderive_on_a_deep_sequence(self, capsys):
+        events = " ".join(f"e{i}" for i in range(10_000))
+        code, out, _ = run_cli(capsys, "pderive", events, "e0")
+        assert code == 0
+        assert out == "eps " + events.removeprefix("e0 ") + "\n"
+
+    def test_closure_and_nfa_on_a_deep_union(self, capsys):
+        union = " + ".join(["a"] * 10_000)
+        code, out, _ = run_cli(capsys, "closure", union)
+        assert code == 0
+        assert out.splitlines() == [union, "eps", "total 2"]
+        code, out, _ = run_cli(capsys, "nfa", union)
+        assert code == 0
+        assert json.loads(out)["states"] == [union, "eps"]
+
 
 class TestFuzz:
     def test_small_clean_run(self, capsys):

@@ -163,6 +163,31 @@ class TestRunTrace:
         assert session.events_seen == len(w)
 
 
+class TestDeepSpecs:
+    """Sequence specs e0 e1 ... e(n-1) nest n deep; nothing may recurse on depth."""
+
+    @staticmethod
+    def sequence(n):
+        return " ".join(f"e{i}" for i in range(n))
+
+    def test_hundred_thousand_symbol_spec(self):
+        text = self.sequence(100_000)
+        spec = parse(text)
+        assert spec == parse(text)
+        session = new_session(spec)
+        verdicts = []
+        for event in ("e0", "e1", "e3"):
+            session = step(session, event)
+            verdicts.append(current_verdict(session))
+        assert verdicts == [Verdict.PENDING, Verdict.PENDING, Verdict.VIOLATION]
+
+    def test_complete_trace_of_a_long_spec_accepts(self):
+        n = 1200
+        verdict, stats = run_trace(parse(self.sequence(n)), self.sequence(n).split())
+        assert verdict is Verdict.ACCEPTING
+        assert stats.frontier_history == (1,) * (n + 1)
+
+
 def test_verdict_exit_codes():
     assert Verdict.ACCEPTING.exit_code == 0
     assert Verdict.PENDING.exit_code == 1

@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from derivmon.oracle import is_member
 from derivmon.syntax import (
@@ -18,6 +21,7 @@ from derivmon.syntax import (
     parse,
     parse_word,
     size,
+    subterms,
 )
 from strategies import regexes
 
@@ -85,6 +89,10 @@ class TestFormat:
     def test_roundtrip(self, e):
         assert parse(format_regex(e)) == e
 
+    def test_deep_sequence_prints_without_recursion(self):
+        text = " ".join(f"e{i}" for i in range(10_000))
+        assert format_regex(parse(text)) == text
+
 
 class TestMetrics:
     def test_height_examples(self):
@@ -149,3 +157,102 @@ class TestSymbols:
         assert parse_word("") == ()
         with pytest.raises(ValueError):
             parse_word("a 1b")
+
+
+# The recursive definitions the stored metrics replaced, kept as the reference.
+
+
+def reference_has_eps(e):
+    match e:
+        case Empty() | Sym():
+            return EpsFlag.ZERO
+        case Eps() | Star():
+            return EpsFlag.EPS
+        case Cat(left, right) | Shuffle(left, right):
+            return reference_has_eps(left) & reference_has_eps(right)
+        case Or(left, right):
+            return reference_has_eps(left) | reference_has_eps(right)
+    raise TypeError(f"not a Regex: {e!r}")
+
+
+def reference_height(e):
+    match e:
+        case Empty() | Eps() | Sym():
+            return 0
+        case Cat(left, right) | Or(left, right) | Shuffle(left, right):
+            return max(reference_height(left), reference_height(right)) + 1
+        case Star(body):
+            return reference_height(body) + 1
+    raise TypeError(f"not a Regex: {e!r}")
+
+
+def reference_size(e):
+    match e:
+        case Empty() | Eps() | Sym():
+            return 1
+        case Cat(left, right) | Or(left, right) | Shuffle(left, right):
+            return reference_size(left) + reference_size(right) + 1
+        case Star(body):
+            return reference_size(body) + 1
+    raise TypeError(f"not a Regex: {e!r}")
+
+
+def rebuild(e, replace_leaf=None):
+    """A fresh copy of ``e`` sharing no node with it; ``replace_leaf``
+    maps the leaves, numbered left to right, to their replacements."""
+    leaves = itertools.count()
+
+    def go(node):
+        match node:
+            case Cat(left, right) | Or(left, right) | Shuffle(left, right):
+                return type(node)(go(left), go(right))
+            case Star(body):
+                return Star(go(body))
+            case Sym(name):
+                fresh = Sym(name)
+            case _:
+                fresh = type(node)()
+        index = next(leaves)
+        return replace_leaf(index, fresh) if replace_leaf else fresh
+
+    return go(e)
+
+
+def other_leaf(leaf):
+    match leaf:
+        case Empty():
+            return Eps()
+        case Eps():
+            return Empty()
+        case Sym(name):
+            return Sym(name + "x")
+
+
+class TestStoredMetrics:
+    @given(regexes())
+    def test_match_the_recursive_reference(self, e):
+        assert has_eps(e) is reference_has_eps(e)
+        assert size(e) == reference_size(e)
+        assert height(e) == reference_height(e)
+
+    @given(regexes())
+    def test_independent_copies_are_equal_and_hash_equal(self, e):
+        copy = rebuild(e)
+        assert copy is not e
+        assert copy == e and e == copy
+        assert hash(copy) == hash(e)
+
+    @given(regexes(), st.data())
+    def test_one_leaf_mutation_makes_copies_unequal(self, e, data):
+        leaf_count = sum(1 for node in subterms(e) if isinstance(node, (Empty, Eps, Sym)))
+        target = data.draw(st.integers(min_value=0, max_value=leaf_count - 1))
+        mutated = rebuild(e, lambda index, leaf: other_leaf(leaf) if index == target else leaf)
+        assert mutated != e and e != mutated
+        # With every hash forced equal, the structural walk alone must find the leaf.
+        for original, changed in zip(subterms(e), subterms(mutated)):
+            changed._hash = original._hash
+        assert mutated != e
+
+    def test_not_equal_to_other_types(self):
+        assert Sym("a") != "a"
+        assert Empty() != Eps()
