@@ -48,21 +48,27 @@ def height_increment_bound(e: Regex) -> int:
     that determines the overall height: a concatenation forwards its
     left budget only when the left side is at least as tall, a shuffle
     keeps the budgets of its not-strictly-shorter sides, and a union
-    discards both (its derivative drops the union node).
+    discards both (its derivative drops the union node).  So the budget
+    is 1 exactly when a star is reachable along forwarded sides.
     """
-    match e:
-        case Empty() | Eps() | Sym() | Or():
-            return 0
-        case Star():
-            return 1
-        case Cat(left, right):
-            return height_geq(left, right) * height_increment_bound(left)
-        case Shuffle(left, right):
-            return max(
-                height_geq(left, right) * height_increment_bound(left),
-                height_geq(right, left) * height_increment_bound(right),
-            )
-    raise TypeError(f"not a Regex: {e!r}")
+    stack = [e]
+    while stack:
+        match stack.pop():
+            case Star():
+                return 1
+            case Cat(left, right):
+                if height_geq(left, right):
+                    stack.append(left)
+            case Shuffle(left, right):
+                if height_geq(left, right):
+                    stack.append(left)
+                if height_geq(right, left):
+                    stack.append(right)
+            case Empty() | Eps() | Sym() | Or():
+                pass
+            case node:
+                raise TypeError(f"not a Regex: {node!r}")
+    return 0
 
 
 def size_increment_bound(e: Regex) -> int:
@@ -75,25 +81,39 @@ def size_increment_bound(e: Regex) -> int:
     sides alive, so both budgets add up.  Intermediate values are
     signed; the outer max keeps the result non-negative.
     """
-    match e:
-        case Empty() | Eps() | Sym():
-            return 0
-        case Cat(left, right):
-            return max(
-                size_increment_bound(left),
-                size_increment_bound(right) - size(left) - 1,
-            )
-        case Or(left, right):
-            return max(
-                size_increment_bound(left) - size(right) - 1,
-                size_increment_bound(right) - size(left) - 1,
-                0,
-            )
-        case Star(body):
-            return size(body) + size_increment_bound(body) + 1
-        case Shuffle(left, right):
-            return size_increment_bound(left) + size_increment_bound(right)
-    raise TypeError(f"not a Regex: {e!r}")
+    # Collect the subterms, each before its children, the left child
+    # last.  In reverse every node follows its subtrees, whose budgets
+    # then sit on top of ``budgets``: the left side's above the right's.
+    order: list[Regex] = []
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        kind = type(node)
+        if kind is Star:
+            stack.append(node.body)
+        elif kind is Cat or kind is Or or kind is Shuffle:
+            stack.append(node.right)
+            stack.append(node.left)
+    budgets: list[int] = []
+    for node in reversed(order):
+        kind = type(node)
+        if kind is Cat:
+            left, right = budgets.pop(), budgets.pop()
+            budget = max(left, right - node.left.size - 1)
+        elif kind is Or:
+            left, right = budgets.pop(), budgets.pop()
+            budget = max(left - node.right.size - 1, right - node.left.size - 1, 0)
+        elif kind is Star:
+            budget = node.body.size + budgets.pop() + 1
+        elif kind is Shuffle:
+            budget = budgets.pop() + budgets.pop()
+        elif kind is Empty or kind is Eps or kind is Sym:
+            budget = 0
+        else:
+            raise TypeError(f"not a Regex: {node!r}")
+        budgets.append(budget)
+    return budgets[0]
 
 
 def height_budget(e: Regex) -> int:

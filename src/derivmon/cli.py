@@ -18,7 +18,7 @@ from . import bounds as bounds_mod
 from . import corpus, derivative, oracle, partial
 from .automaton import build_nfa
 from .errors import CapacityError
-from .monitor import MonitorSession, current_verdict, run_trace
+from .monitor import MonitorSession, current_verdict, new_session, run_trace
 from .syntax import (
     ParseError,
     Regex,
@@ -76,20 +76,17 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     s_budget = bounds_mod.size_budget(e)
     print("step\tsymbol\theight\tsize\tdeltaMax\tetaMax\theightBudget\tsizeBudget")
 
-    def row(index: int, symbol: str, member: Regex) -> None:
-        print(
-            f"{index}\t{symbol}\t{height(member)}\t{size(member)}"
-            f"\t{bounds_mod.height_increment_bound(member)}"
-            f"\t{bounds_mod.size_increment_bound(member)}"
-            f"\t{h_budget}\t{s_budget}"
-        )
+    def print_rows(symbol: str, session: MonitorSession) -> None:
+        for member in sorted(session.frontier, key=format_regex):
+            print(
+                f"{session.events_seen}\t{symbol}\t{height(member)}\t{size(member)}"
+                f"\t{bounds_mod.height_increment_bound(member)}"
+                f"\t{bounds_mod.size_increment_bound(member)}"
+                f"\t{h_budget}\t{s_budget}"
+            )
 
-    frontier: frozenset[Regex] = frozenset({e})
-    row(0, "-", e)
-    for index, symbol in enumerate(word, start=1):
-        frontier = partial.step_frontier(frontier, symbol)
-        for member in sorted(frontier, key=format_regex):
-            row(index, symbol, member)
+    print_rows("-", new_session(e))
+    run_trace(e, word, print_rows)
     return 0
 
 
@@ -139,11 +136,11 @@ def _check_expression(e: Regex, word_len: int) -> str | None:
     if not 0 <= bounds_mod.size_increment_bound(e) <= size(e) ** 2:
         return "size budget out of range"
     try:
-        reachable = partial.closure(e, cap=100_000)
+        nfa = build_nfa(e, cap=100_000)
     except CapacityError:
         return "closure blow-up"
     symbols = sorted(alphabet(e))
-    for state in reachable:
+    for state in nfa.states:
         if height(state) > bounds_mod.height_budget(e):
             return "height bound exceeded"
         if size(state) > bounds_mod.size_budget(e):
@@ -156,7 +153,6 @@ def _check_expression(e: Regex, word_len: int) -> str | None:
                 if not report.holds:
                     return "size invariant broken"
     lang = oracle.lang_up_to(e, word_len)
-    nfa = build_nfa(e)
     for word in _all_words(symbols, word_len):
         member = word in lang
         if derivative.accepts(e, word) != member:

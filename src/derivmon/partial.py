@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import CapacityError
 from .syntax import (
     Cat,
     Empty,
@@ -28,7 +27,6 @@ from .syntax import (
     Star,
     Sym,
     Symbol,
-    alphabet,
     has_eps,
 )
 
@@ -117,20 +115,10 @@ def accepts(e: Regex, word: Sequence[Symbol]) -> bool:
 def closure(e: Regex, *, cap: int = DEFAULT_CLOSURE_CAP) -> frozenset[Regex]:
     """All expressions reachable from ``e`` by partial derivatives.
 
-    The search uses the symbols occurring in ``e``; derivatives never
-    introduce new symbols.  The result is finite, so exceeding ``cap``
-    signals a bug rather than expected behavior.
+    These are the states of the partial-derivative NFA.  The result is
+    finite, so exceeding ``cap`` signals a bug rather than expected
+    behavior.
     """
-    symbols = sorted(alphabet(e))
-    seen: set[Regex] = {e}
-    todo: list[Regex] = [e]
-    while todo:
-        current = todo.pop()
-        for symbol in symbols:
-            for successor in partial_derivatives(current, symbol):
-                if successor not in seen:
-                    seen.add(successor)
-                    todo.append(successor)
-                    if len(seen) > cap:
-                        raise CapacityError(f"closure exceeded {cap} states")
-    return frozenset(seen)
+    from .automaton import build_nfa  # automaton imports this module
+
+    return frozenset(build_nfa(e, cap=cap).states)

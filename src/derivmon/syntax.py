@@ -12,9 +12,9 @@ the binary operators associate to the left.
 Every node stores its nullability, size, height and structural hash
 when it is built, so :func:`has_eps`, :func:`size` and :func:`height`
 are attribute reads and hashing costs nothing per call.  Nodes are
-immutable by convention and compared structurally.  Equality and
-:func:`format_regex` walk the tree with an explicit stack, so they work
-at any depth.  No simplification is ever applied by this package:
+immutable by convention and compared structurally.  :func:`parse`,
+equality and :func:`format_regex` use explicit stacks, so they work at
+any depth.  No simplification is ever applied by this package:
 derivatives are kept in raw syntactic form because the space bounds
 measured elsewhere are claims about exactly that raw form.
 """
@@ -22,7 +22,6 @@ measured elsewhere are claims about exactly that raw form.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
@@ -308,135 +307,84 @@ def format_regex(e: Regex) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident zero eps star plus shuffle lparen rparen end
-    text: str
-    line: int
-    col: int
+# One token per match: an identifier, an operator or constant, a lone
+# '|', or any other non-space character.  The search itself skips spaces.
+_TOKEN_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)|(\|\||[()*+0])|(\|)|(\S)")
 
 
-_ONE_CHAR_KINDS = {"(": "lparen", ")": "rparen", "*": "star", "+": "plus", "0": "zero"}
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            line, col = line + 1, 1
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if c in _ONE_CHAR_KINDS:
-            tokens.append(_Token(_ONE_CHAR_KINDS[c], c, line, start_col))
-            i, col = i + 1, col + 1
-        elif c == "|":
-            if text[i : i + 2] != "||":
-                raise ParseError(f"{line}:{start_col}: expected '||'")
-            tokens.append(_Token("shuffle", "||", line, start_col))
-            i, col = i + 2, col + 2
-        elif c.isalpha():
-            j = i + 1
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "eps" if word == "eps" else "ident"
-            tokens.append(_Token(kind, word, line, start_col))
-            col += j - i
-            i = j
-        else:
-            raise ParseError(f"{line}:{start_col}: unexpected character {c!r}")
-    tokens.append(_Token("end", "", line, col))
-    return tokens
-
-
-_ATOM_STARTERS = frozenset({"ident", "zero", "eps", "lparen"})
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
-        self._pos = 0
-
-    def _peek(self) -> _Token:
-        return self._tokens[self._pos]
-
-    def _next(self) -> _Token:
-        token = self._tokens[self._pos]
-        self._pos += 1
-        return token
-
-    def _fail(self, token: _Token, expected: str) -> ParseError:
-        found = repr(token.text) if token.kind != "end" else "end of input"
-        return ParseError(f"{token.line}:{token.col}: expected {expected}, found {found}")
-
-    def expression(self) -> Regex:
-        e = self._union()
-        while self._peek().kind == "shuffle":
-            self._next()
-            e = Shuffle(e, self._union())
-        return e
-
-    def _union(self) -> Regex:
-        e = self._concat()
-        while self._peek().kind == "plus":
-            self._next()
-            e = Or(e, self._concat())
-        return e
-
-    def _concat(self) -> Regex:
-        e = self._postfix()
-        while self._peek().kind in _ATOM_STARTERS:
-            e = Cat(e, self._postfix())
-        return e
-
-    def _postfix(self) -> Regex:
-        e = self._atom()
-        while self._peek().kind == "star":
-            self._next()
-            e = Star(e)
-        return e
-
-    def _atom(self) -> Regex:
-        token = self._next()
-        match token.kind:
-            case "zero":
-                return Empty()
-            case "eps":
-                return Eps()
-            case "ident":
-                return Sym(token.text)
-            case "lparen":
-                e = self.expression()
-                closing = self._next()
-                if closing.kind != "rparen":
-                    raise self._fail(closing, "')'")
-                return e
-        raise self._fail(token, "an expression")
+def _position(text: str, offset: int) -> str:
+    """The 1-based ``line:column`` of ``offset`` in ``text``."""
+    line = text.count("\n", 0, offset) + 1
+    column = offset - text.rfind("\n", 0, offset)
+    return f"{line}:{column}"
 
 
 def parse(text: str) -> Regex:
     """Parse concrete syntax into an expression tree.
 
     Raises :class:`ParseError` on empty input or at the first offending
-    token, with its line and column in the message.
+    token, with its line and column in the message.  Parsing uses no
+    recursion, so parentheses may nest to any depth.
     """
-    tokens = _tokenize(text)
-    if tokens[0].kind == "end":
+    tokens: list[tuple[str, int]] = []
+    for scanned in _TOKEN_RE.finditer(text):
+        if scanned.lastindex > 2:
+            where = _position(text, scanned.start())
+            if scanned.lastindex == 3:
+                raise ParseError(f"{where}: expected '||'")
+            raise ParseError(f"{where}: unexpected character {scanned.group()!r}")
+        tokens.append((scanned.group(), scanned.start()))
+    if not tokens:
         raise ParseError("1:1: empty input")
-    parser = _Parser(tokens)
-    e = parser.expression()
-    trailing = parser._peek()
-    if trailing.kind != "end":
-        raise ParseError(f"{trailing.line}:{trailing.col}: unexpected {trailing.text!r}")
-    return e
+    tokens.append(("", len(text)))  # end of input
+    # Operator precedence: pending binary operators sit on ``operators``
+    # as their rendering level, open parentheses as -1.
+    binary = {_SHUFFLE: Shuffle, _OR: Or, _CAT: Cat}
+    operands: list[Regex] = []
+    operators: list[int] = []
+    expect_operand = True
+    for token, offset in tokens:
+        if not expect_operand:
+            if token == "*":
+                operands[-1] = Star(operands[-1])
+                continue
+            if token == "+":
+                level = _OR
+            elif token == "||" or token == ")" or not token:
+                level = _SHUFFLE
+            else:  # juxtaposition: the token starts the next operand
+                level = _CAT
+            while operators and operators[-1] >= level:
+                right = operands.pop()
+                operands[-1] = binary[operators.pop()](operands[-1], right)
+            if token == ")":
+                if not operators:
+                    raise ParseError(f"{_position(text, offset)}: unexpected ')'")
+                operators.pop()
+                continue
+            if not token:
+                if operators:
+                    raise ParseError(
+                        f"{_position(text, offset)}: expected ')', found end of input"
+                    )
+                break
+            operators.append(level)
+            if level != _CAT:
+                expect_operand = True
+                continue
+        if token == "(":
+            operators.append(-1)
+        elif token == "0":
+            operands.append(Empty())
+        elif token == "eps":
+            operands.append(Eps())
+        elif token[:1].isalpha():
+            operands.append(Sym(token))
+        else:
+            found = repr(token) if token else "end of input"
+            raise ParseError(f"{_position(text, offset)}: expected an expression, found {found}")
+        expect_operand = token == "("
+    return operands[0]
 
 
 def parse_word(text: str) -> Word:

@@ -76,6 +76,64 @@ class TestSizeIncrementBound:
         assert 0 <= size_increment_bound(e) <= size(e) ** 2
 
 
+# The recursive definitions the explicit-stack budgets replaced, kept as the reference.
+
+
+def reference_height_increment_bound(e):
+    match e:
+        case Empty() | Eps() | Sym() | Or():
+            return 0
+        case Star():
+            return 1
+        case Cat(left, right):
+            return height_geq(left, right) * reference_height_increment_bound(left)
+        case Shuffle(left, right):
+            return max(
+                height_geq(left, right) * reference_height_increment_bound(left),
+                height_geq(right, left) * reference_height_increment_bound(right),
+            )
+    raise TypeError(f"not a Regex: {e!r}")
+
+
+def reference_size_increment_bound(e):
+    match e:
+        case Empty() | Eps() | Sym():
+            return 0
+        case Cat(left, right):
+            return max(
+                reference_size_increment_bound(left),
+                reference_size_increment_bound(right) - size(left) - 1,
+            )
+        case Or(left, right):
+            return max(
+                reference_size_increment_bound(left) - size(right) - 1,
+                reference_size_increment_bound(right) - size(left) - 1,
+                0,
+            )
+        case Star(body):
+            return size(body) + reference_size_increment_bound(body) + 1
+        case Shuffle(left, right):
+            return reference_size_increment_bound(left) + reference_size_increment_bound(right)
+    raise TypeError(f"not a Regex: {e!r}")
+
+
+class TestBudgetsWithoutRecursion:
+    @given(regexes(max_leaves=12))
+    def test_match_the_recursive_reference(self, e):
+        assert height_increment_bound(e) == reference_height_increment_bound(e)
+        assert size_increment_bound(e) == reference_size_increment_bound(e)
+
+    def test_deep_terms(self):
+        union = parse(" + ".join(["a"] * 10_000))
+        assert (height_increment_bound(union), size_increment_bound(union)) == (0, 0)
+        tower = Sym("a")
+        for _ in range(10_000):
+            tower = Star(tower)
+        assert height_increment_bound(tower) == 1
+        # Each star adds its body's size, its body's budget and one node.
+        assert size_increment_bound(tower) == sum(range(10_001)) + 10_000
+
+
 class TestInvariantChecks:
     def test_star_pair_height_report(self):
         (report,) = check_height_invariant(parse("a* b*"), "a")

@@ -30,6 +30,11 @@ class TestDerive:
         assert code == 3
         assert "error:" in err
 
+    def test_non_ascii_symbol_exits_3(self, capsys):
+        code, _, err = run_cli(capsys, "derive", "é")
+        assert code == 3
+        assert err == "error: 1:1: unexpected character 'é'\n"
+
 
 class TestPderive:
     def test_frontier_sorted_one_per_line(self, capsys):
@@ -216,6 +221,20 @@ class TestDeepSpecs:
         code, out, _ = run_cli(capsys, "nfa", union)
         assert code == 0
         assert json.loads(out)["states"] == [union, "eps"]
+
+    def test_pderive_in_deep_parentheses(self, capsys):
+        code, out, _ = run_cli(capsys, "pderive", "(" * 10_000 + "a" + ")" * 10_000, "a")
+        assert code == 0
+        assert out == "eps\n"
+
+    def test_bounds_trace_on_a_deep_union(self, capsys):
+        union = " + ".join(["a"] * 10_000)
+        code, out, _ = run_cli(capsys, "bounds", "--trace", union, "a")
+        assert code == 0
+        header, start, after = out.splitlines()
+        assert header.startswith("step\tsymbol")
+        assert start.startswith("0\t-\t9999\t19999\t0\t0\t")
+        assert after.startswith("1\ta\t0\t1\t0\t0\t")
 
 
 class TestFuzz:

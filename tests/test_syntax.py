@@ -69,6 +69,46 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("a b )")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "1:1: empty input"),
+            ("   \n  ", "1:1: empty input"),
+            ("a |", "1:3: expected '||'"),
+            ("a ||| b", "1:5: expected '||'"),
+            ("a +", "1:4: expected an expression, found end of input"),
+            ("(a", "1:3: expected ')', found end of input"),
+            ("a)", "1:2: unexpected ')'"),
+            ("()", "1:2: expected an expression, found ')'"),
+            ("*a", "1:1: expected an expression, found '*'"),
+            ("a $", "1:3: unexpected character '$'"),
+            ("1", "1:1: unexpected character '1'"),
+            ("a +\nb )", "2:3: unexpected ')'"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(ParseError) as caught:
+            parse(text)
+        assert str(caught.value) == message
+
+    def test_symbols_are_ascii(self):
+        # Symbols match [A-Za-z][A-Za-z0-9_]*, in parse as in Sym.
+        with pytest.raises(ParseError) as caught:
+            parse("é")
+        assert str(caught.value) == "1:1: unexpected character 'é'"
+
+    def test_deep_parentheses(self):
+        assert parse("(" * 10_000 + "a" + ")" * 10_000) == Sym("a")
+
+    def test_deep_terms_round_trip(self):
+        chain = Sym("a")
+        tower = Sym("a")
+        for _ in range(10_000):
+            chain = Cat(Sym("b"), chain)
+            tower = Star(tower)
+        assert parse(format_regex(chain)) == chain
+        assert parse(format_regex(tower)) == tower
+
 
 class TestFormat:
     def test_nested_stars(self):
