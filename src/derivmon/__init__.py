@@ -7,7 +7,8 @@ and two rewriting engines over it: total Brzozowski derivatives
 space-budget functions (:mod:`.bounds`), the NFA construction
 (:mod:`.automaton`), and the streaming monitor (:mod:`.monitor`).
 :mod:`.oracle` is an independent brute-force semantics used to validate
-everything else, and :mod:`.corpus` provides seeded random expressions
+everything else, :mod:`.check` states the paper's claims as checks on
+one expression, and :mod:`.corpus` provides seeded random expressions
 plus the golden example set.
 
 Every expression node stores its nullability, size, height and hash

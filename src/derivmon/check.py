@@ -1,0 +1,67 @@
+"""The paper's claims checked on one expression, for the fuzz command and the tests.
+
+Each check returns the first broken property as text, or None.  Engines
+are looked up through their modules at call time, so a test can replace
+one and watch the check fail.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from . import bounds, derivative, oracle, partial
+from .automaton import Nfa
+from .syntax import Regex, Symbol, Word, alphabet, height, size
+
+
+def bounds_problem(e: Regex, nfa: Nfa) -> str | None:
+    """The budget ranges of ``e``, then the space caps and the one-step
+    invariants on every state of ``nfa``, the NFA of ``e``."""
+    if not 0 <= bounds.height_increment_bound(e) <= 1:
+        return "height budget out of range"
+    if not 0 <= bounds.size_increment_bound(e) <= size(e) ** 2:
+        return "size budget out of range"
+    h_cap, s_cap = bounds.height_budget(e), bounds.size_budget(e)
+    symbols = sorted(alphabet(e))
+    for state in nfa.states:
+        if height(state) > h_cap:
+            return "height bound exceeded"
+        if size(state) > s_cap:
+            return "size bound exceeded"
+        for symbol in symbols:
+            if not all(r.holds for r in bounds.check_height_invariant(state, symbol)):
+                return "height invariant broken"
+            if not all(r.holds for r in bounds.check_size_invariant(state, symbol)):
+                return "size invariant broken"
+    return None
+
+
+def agreement_problem(e: Regex, nfa: Nfa, symbols: Sequence[Symbol], max_len: int) -> str | None:
+    """The oracle against the Brzozowski derivative, the frontier and ``nfa``
+    on every word over ``symbols`` up to ``max_len``; names the shortest
+    failing word, the first in ``symbols`` order among equally short ones."""
+    lang = oracle.lang_up_to(e, max_len)
+    problem, limit = None, max_len  # after a failure, only shorter words can replace it
+    # Depth first, in symbols order.  An entry carries its parent's
+    # derivative and frontier and extends them by its last symbol when popped.
+    stack: list[tuple[Word, Regex, frozenset[Regex]]] = [((), e, frozenset({e}))]
+    while stack:
+        word, brz, frontier = stack.pop()
+        if len(word) > limit:
+            continue
+        if word:
+            brz = derivative.derive(brz, word[-1])
+            frontier = partial.step_frontier(frontier, word[-1])
+        member = word in lang
+        if brz.nullable != member:
+            found = "derivative disagrees"
+        elif any(m.nullable for m in frontier) != member:
+            found = "partial derivatives disagree"
+        elif nfa.accepts(word) != member:
+            found = "NFA disagrees"
+        else:
+            if len(word) < limit:
+                stack.extend((word + (symbol,), brz, frontier) for symbol in reversed(symbols))
+            continue
+        problem, limit = f"{found} with oracle on {word!r}", len(word) - 1
+    return problem

@@ -3,19 +3,18 @@
 Subcommands: derive, pderive, closure, bounds, nfa, oracle, monitor,
 fuzz.  Monitor runs exit with 0/1/2 for ACCEPTING/PENDING/VIOLATION;
 input problems (unparsable expressions, missing files) exit with 3; an
-internal failure such as a RecursionError exits with 4, never as a verdict.
+internal failure exits with 4, never as a verdict.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from pathlib import Path
 
 from . import bounds as bounds_mod
-from . import corpus, derivative, oracle, partial
+from . import check, corpus, derivative, oracle, partial
 from .automaton import build_nfa
 from .errors import CapacityError
 from .monitor import MonitorSession, current_verdict, new_session, run_trace
@@ -125,55 +124,26 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     return verdict.exit_code
 
 
-def _all_words(symbols: list[str], max_len: int) -> list[Word]:
-    return [w for n in range(max_len + 1) for w in itertools.product(symbols, repeat=n)]
-
-
-def _check_expression(e: Regex, word_len: int) -> str | None:
-    """First broken property on ``e``, or None; used by the fuzz command."""
-    if not 0 <= bounds_mod.height_increment_bound(e) <= 1:
-        return "height budget out of range"
-    if not 0 <= bounds_mod.size_increment_bound(e) <= size(e) ** 2:
-        return "size budget out of range"
-    try:
-        nfa = build_nfa(e, cap=100_000)
-    except CapacityError:
-        return "closure blow-up"
-    symbols = sorted(alphabet(e))
-    for state in nfa.states:
-        if height(state) > bounds_mod.height_budget(e):
-            return "height bound exceeded"
-        if size(state) > bounds_mod.size_budget(e):
-            return "size bound exceeded"
-        for symbol in symbols:
-            for report in bounds_mod.check_height_invariant(state, symbol):
-                if not report.holds:
-                    return "height invariant broken"
-            for report in bounds_mod.check_size_invariant(state, symbol):
-                if not report.holds:
-                    return "size invariant broken"
-    lang = oracle.lang_up_to(e, word_len)
-    for word in _all_words(symbols, word_len):
-        member = word in lang
-        if derivative.accepts(e, word) != member:
-            return f"derivative disagrees with oracle on {word!r}"
-        if partial.accepts(e, word) != member:
-            return f"partial derivatives disagree with oracle on {word!r}"
-        if nfa.accepts(word) != member:
-            return f"NFA disagrees with oracle on {word!r}"
-    return None
-
-
 def _cmd_fuzz(args: argparse.Namespace) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be non-negative, got {args.count}")
+
+    def problem(e: Regex) -> str | None:
+        try:
+            nfa = build_nfa(e, cap=100_000)
+        except CapacityError:
+            return "closure blow-up"
+        return check.bounds_problem(e, nfa) or check.agreement_problem(
+            e, nfa, sorted(alphabet(e)), args.max_word_len
+        )
+
     cfg = corpus.GenConfig(seed=args.seed, shuffle_enabled=args.shuffle)
     for e in corpus.gen_corpus(cfg, args.count):
-        problem = _check_expression(e, args.max_word_len)
-        if problem is None:
+        found = problem(e)
+        if found is None:
             continue
-        shrunk = corpus.shrink_regex(
-            e, lambda x: _check_expression(x, args.max_word_len) is not None
-        )
-        print(f"FAIL: {problem}")
+        shrunk = corpus.shrink_regex(e, lambda x: problem(x) is not None)
+        print(f"FAIL: {found}")
         print(f"counterexample: {format_regex(shrunk)}")
         return 1
     print(f"ok: {args.count} expressions checked (seed {args.seed})")

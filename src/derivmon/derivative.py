@@ -30,26 +30,43 @@ from .syntax import (
 
 def derive(e: Regex, symbol: Symbol) -> Regex:
     """One-step derivative of ``e`` by ``symbol``."""
-    match e:
-        case Empty() | Eps():
-            return Empty()
-        case Sym(name):
-            return Eps() if name == symbol else Empty()
-        case Cat(left, right):
-            return Or(
-                Cat(derive(left, symbol), right),
-                Cat(has_eps(left).as_regex(), derive(right, symbol)),
-            )
-        case Or(left, right):
-            return Or(derive(left, symbol), derive(right, symbol))
-        case Star(body):
-            return Cat(derive(body, symbol), e)
-        case Shuffle(left, right):
-            return Or(
-                Shuffle(derive(left, symbol), right),
-                Shuffle(left, derive(right, symbol)),
-            )
-    raise TypeError(f"not a Regex: {e!r}")
+    # Collect the subterms, each before its children, the left child
+    # last.  In reverse every node follows its subtrees, whose derivatives
+    # then sit on top of ``results``: the left side's above the right's.
+    order: list[Regex] = []
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        kind = type(node)
+        if kind is Star:
+            stack.append(node.body)
+        elif kind is Cat or kind is Or or kind is Shuffle:
+            stack.append(node.right)
+            stack.append(node.left)
+    results: list[Regex] = []
+    for node in reversed(order):
+        kind = type(node)
+        if kind is Cat:
+            left, right = results.pop(), results.pop()
+            flag = Eps() if node.left.nullable else Empty()
+            out = Or(Cat(left, node.right), Cat(flag, right))
+        elif kind is Or:
+            left, right = results.pop(), results.pop()
+            out = Or(left, right)
+        elif kind is Sym:
+            out = Eps() if node.name == symbol else Empty()
+        elif kind is Star:
+            out = Cat(results.pop(), node)
+        elif kind is Shuffle:
+            left, right = results.pop(), results.pop()
+            out = Or(Shuffle(left, node.right), Shuffle(node.left, right))
+        elif kind is Empty or kind is Eps:
+            out = Empty()
+        else:
+            raise TypeError(f"not a Regex: {node!r}")
+        results.append(out)
+    return results[0]
 
 
 def derive_word(e: Regex, word: Sequence[Symbol]) -> Regex:

@@ -58,40 +58,58 @@ def lang_up_to(
         if len(words) > cap:
             raise CapacityError(f"language enumeration exceeded {cap} words")
 
-    def go(e: Regex) -> frozenset[Word]:
-        cached = memo.get(e)
-        if cached is not None:
-            return cached
+    # Post-order over an explicit stack: a node comes back as ready above
+    # its children, whose languages then sit on top of ``langs``, the right
+    # side's above the left's.  Structurally equal subterms share one memo entry.
+    langs: list[frozenset[Word]] = []
+    stack = [(e, False)]
+    while stack:
+        node, ready = stack.pop()
+        if not ready:
+            cached = memo.get(node)
+            if cached is not None:
+                langs.append(cached)
+                continue
+            stack.append((node, True))
+            kind = type(node)
+            if kind is Star:
+                stack.append((node.body, False))
+            elif kind is Cat or kind is Or or kind is Shuffle:
+                stack.append((node.right, False))
+                stack.append((node.left, False))
+            continue
         out: frozenset[Word]
-        match e:
+        match node:
             case Empty():
                 out = frozenset()
             case Eps():
                 out = frozenset({()})
             case Sym(name):
                 out = frozenset({(name,)}) if max_len >= 1 else frozenset()
-            case Or(left, right):
-                out = go(left) | go(right)
-            case Cat(left, right):
+            case Or():
+                out = langs.pop() | langs.pop()
+            case Cat():
+                rights, lefts = langs.pop(), langs.pop()
                 acc: set[Word] = set()
-                for u in go(left):
+                for u in lefts:
                     room = max_len - len(u)
-                    for v in go(right):
+                    for v in rights:
                         if len(v) <= room:
                             acc.add(u + v)
                     check(acc)
                 out = frozenset(acc)
-            case Shuffle(left, right):
+            case Shuffle():
+                rights, lefts = langs.pop(), langs.pop()
                 acc = set()
-                for u in go(left):
+                for u in lefts:
                     room = max_len - len(u)
-                    for v in go(right):
+                    for v in rights:
                         if len(v) <= room:
                             acc |= shuffle_words(u, v)
                     check(acc)
                 out = frozenset(acc)
-            case Star(body):
-                base = [w for w in go(body) if w]
+            case Star():
+                base = [w for w in langs.pop() if w]
                 reached: set[Word] = {()}
                 todo: list[Word] = [()]
                 while todo:
@@ -104,12 +122,11 @@ def lang_up_to(
                     check(reached)
                 out = frozenset(reached)
             case _:
-                raise TypeError(f"not a Regex: {e!r}")
+                raise TypeError(f"not a Regex: {node!r}")
         check(out)
-        memo[e] = out
-        return out
-
-    return go(e)
+        memo[node] = out
+        langs.append(out)
+    return langs[0]
 
 
 def is_member(

@@ -13,18 +13,17 @@ import pytest
 from derivmon import derivative, partial
 from derivmon.automaton import build_nfa
 from derivmon.bounds import (
-    check_height_invariant,
-    check_size_invariant,
     height_budget,
     height_increment_bound,
     size_budget,
     size_increment_bound,
     star_chain_growth,
 )
+from derivmon.check import agreement_problem, bounds_problem
 from derivmon.corpus import GenConfig, file_descriptor_spec, gen_corpus
 from derivmon.monitor import Verdict, run_trace
 from derivmon.oracle import is_member, lang_up_to, shuffle_words
-from derivmon.syntax import alphabet, has_eps, height, parse, size
+from derivmon.syntax import format_regex, has_eps, height, parse, size
 
 ALPHABET = ("a", "b", "c")
 
@@ -50,15 +49,6 @@ def shuffle_corpus():
 def shuffle_free_corpus():
     cfg = GenConfig(max_size=15, alphabet_size=3, shuffle_enabled=False, seed=906)
     return gen_corpus(cfg, 2000)
-
-
-def all_words(symbols, max_len):
-    words = [()]
-    layer = [()]
-    for _ in range(max_len):
-        layer = [w + (s,) for w in layer for s in symbols]
-        words.extend(layer)
-    return words
 
 
 def singleton_walk(e, trace):
@@ -118,33 +108,12 @@ def test_criterion_1_golden_examples():
 
 def test_criterion_2_three_way_agreement(shuffle_corpus):
     with criterion(2, "oracle/derivative/partial/NFA agree on 2000 expressions"):
-        words = all_words(ALPHABET, 4)
-        mismatches = 0
-        for e in shuffle_corpus:
-            lang = lang_up_to(e, 4)
-            nfa = build_nfa(e)
-
-            def walk(word, brz, frontier):
-                nonlocal mismatches
-                member = word in lang
-                agreed = (
-                    bool(has_eps(brz)) == member
-                    and any(has_eps(m) for m in frontier) == member
-                    and nfa.accepts(word) == member
-                )
-                if not agreed:
-                    mismatches += 1
-                if len(word) < 4:
-                    for symbol in ALPHABET:
-                        walk(
-                            word + (symbol,),
-                            derivative.derive(brz, symbol),
-                            partial.step_frontier(frontier, symbol),
-                        )
-
-            walk((), e, frozenset({e}))
-        assert len(words) == 121
-        assert mismatches == 0
+        problems = [
+            (format_regex(e), problem)
+            for e in shuffle_corpus
+            if (problem := agreement_problem(e, build_nfa(e), ALPHABET, 4)) is not None
+        ]
+        assert problems == []
 
 
 def test_criterion_3_antimirov_decomposition(shuffle_corpus):
@@ -168,23 +137,14 @@ def test_criterion_4_bound_properties(shuffle_corpus):
             assert 0 <= size_increment_bound(e) <= size(e) ** 2
 
         # Every step of every walk from a corpus expression is an edge of
-        # its closure graph, so checking all edges covers words of any
-        # length, in particular all words up to length 6.
-        violations = 0
-        for e in shuffle_corpus:
-            h_cap, s_cap = height_budget(e), size_budget(e)
-            symbols = sorted(alphabet(e))
-            for state in partial.closure(e):
-                if height(state) > h_cap or size(state) > s_cap:
-                    violations += 1
-                for symbol in symbols:
-                    for report in check_height_invariant(state, symbol):
-                        if not report.holds:
-                            violations += 1
-                    for report in check_size_invariant(state, symbol):
-                        if not report.holds:
-                            violations += 1
-        assert violations == 0
+        # its NFA, so checking all edges covers words of any length, in
+        # particular all words up to length 6.
+        problems = [
+            (format_regex(e), problem)
+            for e in shuffle_corpus
+            if (problem := bounds_problem(e, build_nfa(e))) is not None
+        ]
+        assert problems == []
 
 
 def test_criterion_5_shuffle_free_strengthenings(shuffle_free_corpus):

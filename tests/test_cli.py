@@ -1,7 +1,7 @@
 import json
 
 from derivmon.cli import main
-from derivmon.syntax import parse, size
+from derivmon.syntax import Empty, parse, size
 
 
 def run_cli(capsys, *argv):
@@ -227,6 +227,15 @@ class TestDeepSpecs:
         assert code == 0
         assert out == "eps\n"
 
+    def test_derive_and_oracle_on_a_deep_union(self, capsys):
+        union = " + ".join(["a"] * 10_000)
+        code, out, _ = run_cli(capsys, "derive", union, "a")
+        assert code == 0
+        assert out == " + ".join(["eps"] * 10_000) + "\n"
+        code, out, _ = run_cli(capsys, "oracle", union, "1")
+        assert code == 0
+        assert out == "a\n"
+
     def test_bounds_trace_on_a_deep_union(self, capsys):
         union = " + ".join(["a"] * 10_000)
         code, out, _ = run_cli(capsys, "bounds", "--trace", union, "a")
@@ -248,10 +257,24 @@ class TestFuzz:
         assert code == 0
 
     def test_disagreement_is_reported_and_shrunk(self, capsys, monkeypatch):
-        monkeypatch.setattr("derivmon.derivative.accepts", lambda e, word: False)
+        monkeypatch.setattr("derivmon.derivative.derive", lambda e, symbol: Empty())
         code, out, _ = run_cli(capsys, "fuzz", "--count", "25", "--seed", "5", "--shuffle")
         assert code == 1
         lines = out.splitlines()
         assert lines[0].startswith("FAIL: derivative disagrees with oracle")
         assert lines[1].startswith("counterexample: ")
         assert size(parse(lines[1].removeprefix("counterexample: "))) == 1
+
+    def test_budget_out_of_range_is_reported_and_shrunk(self, capsys, monkeypatch):
+        monkeypatch.setattr("derivmon.bounds.size_increment_bound", lambda e: -1)
+        code, out, _ = run_cli(capsys, "fuzz", "--count", "25", "--seed", "5")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "FAIL: size budget out of range"
+        assert size(parse(lines[1].removeprefix("counterexample: "))) == 1
+
+    def test_negative_count_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "fuzz", "--count", "-5")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")

@@ -3,7 +3,7 @@ from hypothesis import strategies as st
 
 from derivmon.derivative import accepts, derive, derive_word
 from derivmon.oracle import is_member, lang_up_to
-from derivmon.syntax import Regex, parse, size
+from derivmon.syntax import Cat, Empty, Eps, Or, Regex, Shuffle, Star, Sym, parse, size
 from strategies import regexes, symbols, words
 
 
@@ -27,6 +27,56 @@ class TestDerive:
         derived = lang_up_to(derive(e, a), k)
         quotient = {v[1:] for v in lang_up_to(e, k + 1) if v[:1] == (a,)}
         assert derived == quotient
+
+
+# The recursive definition the explicit-stack derive replaced, kept as the reference.
+
+
+def reference_derive(e, symbol):
+    match e:
+        case Empty() | Eps():
+            return Empty()
+        case Sym(name):
+            return Eps() if name == symbol else Empty()
+        case Cat(left, right):
+            return Or(
+                Cat(reference_derive(left, symbol), right),
+                Cat(Eps() if left.nullable else Empty(), reference_derive(right, symbol)),
+            )
+        case Or(left, right):
+            return Or(reference_derive(left, symbol), reference_derive(right, symbol))
+        case Star(body):
+            return Cat(reference_derive(body, symbol), e)
+        case Shuffle(left, right):
+            return Or(
+                Shuffle(reference_derive(left, symbol), right),
+                Shuffle(left, reference_derive(right, symbol)),
+            )
+    raise TypeError(f"not a Regex: {e!r}")
+
+
+class TestDeriveWithoutRecursion:
+    @given(regexes(max_leaves=12), words(max_len=3))
+    def test_matches_the_recursive_reference(self, e, word):
+        expected = e
+        for symbol in word:
+            expected = reference_derive(expected, symbol)
+        assert derive_word(e, word) == expected
+
+    def test_deep_union(self):
+        union = parse(" + ".join(["a"] * 10_000))
+        derived = derive(union, "a")
+        assert derived.nullable
+        assert size(derived) == size(union)
+
+    def test_deep_star_tower(self):
+        tower = Sym("a")
+        for _ in range(10_000):
+            tower = Star(tower)
+        derived = derive(tower, "a")
+        assert derived.nullable
+        # Level k adds a concatenation node and the k-level tower itself.
+        assert size(derived) == 1 + sum(k + 2 for k in range(1, 10_001))
 
 
 class TestDeriveWord:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from derivmon.errors import CapacityError
 from derivmon.oracle import is_member, lang_up_to, shuffle_words
-from derivmon.syntax import Cat, Eps, Or, Star, parse
+from derivmon.syntax import Cat, Empty, Eps, Or, Shuffle, Star, Sym, parse
 from strategies import regexes, words
 
 
@@ -80,6 +80,68 @@ class TestLangUpTo:
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
             lang_up_to(parse("(a + b)*"), 10, cap=50)
+
+
+# The recursive definition the explicit-stack enumeration replaced, kept
+# as the reference (without the guard and the cap).
+
+
+def reference_lang_up_to(e, max_len):
+    match e:
+        case Empty():
+            return frozenset()
+        case Eps():
+            return frozenset({()})
+        case Sym(name):
+            return frozenset({(name,)}) if max_len >= 1 else frozenset()
+        case Or(left, right):
+            return reference_lang_up_to(left, max_len) | reference_lang_up_to(right, max_len)
+        case Cat(left, right):
+            rights = reference_lang_up_to(right, max_len)
+            return frozenset(
+                u + v
+                for u in reference_lang_up_to(left, max_len)
+                for v in rights
+                if len(u) + len(v) <= max_len
+            )
+        case Shuffle(left, right):
+            rights = reference_lang_up_to(right, max_len)
+            return frozenset().union(
+                *(
+                    shuffle_words(u, v)
+                    for u in reference_lang_up_to(left, max_len)
+                    for v in rights
+                    if len(u) + len(v) <= max_len
+                )
+            )
+        case Star(body):
+            base = [u for u in reference_lang_up_to(body, max_len) if u]
+            reached = {()}
+            todo = [()]
+            while todo:
+                u = todo.pop()
+                for v in base:
+                    if len(u + v) <= max_len and u + v not in reached:
+                        reached.add(u + v)
+                        todo.append(u + v)
+            return frozenset(reached)
+    raise TypeError(f"not a Regex: {e!r}")
+
+
+class TestLangWithoutRecursion:
+    @given(regexes(max_leaves=10), st.integers(min_value=0, max_value=4))
+    @settings(max_examples=60)
+    def test_matches_the_recursive_reference(self, e, k):
+        assert lang_up_to(e, k) == reference_lang_up_to(e, k)
+
+    def test_deep_union(self):
+        assert lang_up_to(parse(" + ".join(["a"] * 10_000)), 1) == {("a",)}
+
+    def test_deep_star_tower(self):
+        tower = Sym("a")
+        for _ in range(10_000):
+            tower = Star(tower)
+        assert lang_up_to(tower, 3) == {(), ("a",), ("a", "a"), ("a", "a", "a")}
 
 
 class TestIsMember:
