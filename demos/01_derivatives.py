@@ -13,7 +13,7 @@ e = parse("a b + a c")
 print("expression:   ", format_regex(e))
 print("height:       ", height(e))
 print("size:         ", size(e))
-print("has empty word:", bool(has_eps(e)))
+print("has empty word:", has_eps(e))
 print()
 
 # Deriving by a symbol rewrites the expression into one matching the rest

@@ -9,7 +9,7 @@ space-budget functions (:mod:`.bounds`), the NFA construction
 :mod:`.oracle` is an independent brute-force semantics used to validate
 everything else, :mod:`.check` states the paper's claims as checks on
 one expression, and :mod:`.corpus` provides seeded random expressions
-plus the golden example set.
+and shrinking.
 
 Every expression node stores its nullability, size, height and hash
 when it is built, so those are constant-time reads; derivatives stay in
@@ -24,7 +24,6 @@ from .syntax import (
     Cat,
     Empty,
     Eps,
-    EpsFlag,
     Or,
     ParseError,
     Regex,
@@ -46,7 +45,6 @@ __all__ = [
     "CapacityError",
     "Empty",
     "Eps",
-    "EpsFlag",
     "Or",
     "ParseError",
     "Regex",

@@ -33,6 +33,7 @@ from .syntax import (
     format_regex,
     height,
     size,
+    subterms,
 )
 
 
@@ -81,22 +82,8 @@ def size_increment_bound(e: Regex) -> int:
     sides alive, so both budgets add up.  Intermediate values are
     signed; the outer max keeps the result non-negative.
     """
-    # Collect the subterms, each before its children, the left child
-    # last.  In reverse every node follows its subtrees, whose budgets
-    # then sit on top of ``budgets``: the left side's above the right's.
-    order: list[Regex] = []
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        kind = type(node)
-        if kind is Star:
-            stack.append(node.body)
-        elif kind is Cat or kind is Or or kind is Shuffle:
-            stack.append(node.right)
-            stack.append(node.left)
     budgets: list[int] = []
-    for node in reversed(order):
+    for node in reversed(subterms(e)):
         kind = type(node)
         if kind is Cat:
             left, right = budgets.pop(), budgets.pop()
@@ -128,18 +115,13 @@ def size_budget(e: Regex) -> int:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One derivation step seen through a metric and its budget.
-
-    ``step_label`` is the consumed symbol, or None for a baseline row
-    describing the expression before any step.
-    """
+    """One derivation step seen through a metric and its budget."""
 
     expr: Regex
     metric_before: int
     metric_after: int
     bound_before: int
     bound_after: int
-    step_label: Symbol | None
 
     @property
     def holds(self) -> bool:
@@ -151,7 +133,7 @@ def _reports(
 ) -> list[BoundReport]:
     m, b = metric(e), budget(e)
     return [
-        BoundReport(d, m, metric(d), b, budget(d), symbol)
+        BoundReport(d, m, metric(d), b, budget(d))
         for d in sorted(partial_derivatives(e, symbol), key=format_regex)
     ]
 

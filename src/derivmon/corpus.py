@@ -1,9 +1,7 @@
-"""Random expression generation, shrinking, and the golden example set.
+"""Random expression generation and shrinking.
 
 The generator is seeded and fully deterministic, so large randomized
-sweeps can be reproduced from a single integer.  The worked examples
-collect small expressions with independently known derivatives,
-metrics, and verdicts; the test suites replay them as regressions.
+sweeps can be reproduced from a single integer.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from .syntax import (
     Shuffle,
     Star,
     Sym,
-    Word,
     children,
     format_regex,
     size,
@@ -56,17 +53,10 @@ class GenConfig:
         return [f"s{i}" for i in range(self.alphabet_size)]
 
 
-def gen_regex(cfg: GenConfig, rng: random.Random | None = None) -> Regex:
-    """One random expression with size(e) <= cfg.max_size."""
+def gen_corpus(cfg: GenConfig, count: int) -> list[Regex]:
+    """A reproducible stream of ``count`` random expressions, each of size <= cfg.max_size."""
     if cfg.max_size < 1:
         raise ValueError("max_size must be at least 1")
-    if rng is None:
-        rng = random.Random(cfg.seed)
-    return _gen(cfg, rng, cfg.max_size)
-
-
-def gen_corpus(cfg: GenConfig, count: int) -> list[Regex]:
-    """A reproducible stream of ``count`` random expressions."""
     rng = random.Random(cfg.seed)
     return [_gen(cfg, rng, cfg.max_size) for _ in range(count)]
 
@@ -113,103 +103,6 @@ def file_descriptor_spec(n: int) -> Regex:
     for i in range(2, n + 1):
         spec = Shuffle(spec, session(i))
     return spec
-
-
-@dataclass(frozen=True)
-class CorpusEntry:
-    """A golden example: an expression, an optional trace, and expectations.
-
-    ``expect`` keys understood by the replay helpers in the test suite:
-
-    - ``derive``: mapping symbol -> rendered Brzozowski derivative
-    - ``derive_has_eps``: mapping symbol -> "EPS" | "ZERO"
-    - ``frontier``: mapping symbol -> exact list of rendered members
-    - ``walk_heights`` / ``walk_sizes`` / ``walk_size_slack``: metric
-      values along the trace, which must keep the frontier a singleton
-    - ``frontier_after_contains``: rendered members the final frontier
-      must include
-    - ``verdict``: final monitor verdict name for the trace
-    - ``frontier_history``: frontier cardinality after each event
-    """
-
-    label: str
-    text: str
-    trace: Word = ()
-    expect: Mapping[str, object] = field(default_factory=dict)
-
-
-def worked_examples() -> list[CorpusEntry]:
-    """The fixed regression corpus of hand-checked examples."""
-    return [
-        CorpusEntry(
-            label="sum of products keeps both branches",
-            text="a b + a c",
-            expect={
-                "derive": {
-                    "a": "(eps b + 0 0) + (eps c + 0 0)",
-                    "b": "(0 b + 0 eps) + (0 c + 0 0)",
-                },
-                "frontier": {"a": ["eps b", "eps c"]},
-            },
-        ),
-        CorpusEntry(
-            label="star pair, height rises then falls",
-            text="a* b*",
-            trace=("a", "b"),
-            expect={"walk_heights": [2, 3, 2]},
-        ),
-        CorpusEntry(
-            label="star pair, height stays flat",
-            text="a* b*",
-            trace=("b", "b"),
-            expect={"walk_heights": [2, 2, 2]},
-        ),
-        CorpusEntry(
-            label="nested stars, quadratic size jump",
-            text="((a*)*)*",
-            trace=("a", "a"),
-            expect={"walk_sizes": [4, 13, 13]},
-        ),
-        CorpusEntry(
-            label="late size growth under concatenation",
-            text="a b**",
-            trace=("a", "b"),
-            expect={"walk_sizes": [5, 5, 8]},
-        ),
-        CorpusEntry(
-            label="shuffle stuck on a foreign symbol",
-            text="a0 || a1",
-            expect={
-                "derive": {"a2": "(0 || a1) + (a0 || 0)"},
-                "derive_has_eps": {"a2": "ZERO"},
-                "frontier": {"a2": []},
-            },
-        ),
-        CorpusEntry(
-            label="shuffled stars, size budget must add up",
-            text="a* || b*",
-            trace=("a",),
-            expect={"walk_sizes": [5, 7], "walk_size_slack": [4, 2]},
-        ),
-        CorpusEntry(
-            label="shuffle makes height budgets recur",
-            text="(eps || a*) (b || a*)",
-            trace=("a", "b", "a"),
-            expect={"frontier_after_contains": ["eps || eps a*"]},
-        ),
-        CorpusEntry(
-            label="two file sessions, valid interleaving",
-            text="o1 a1 c1 || o2 a2 c2",
-            trace=("o1", "o2", "a2", "a1", "c1", "c2"),
-            expect={"verdict": "ACCEPTING"},
-        ),
-        CorpusEntry(
-            label="two file sessions, close before access",
-            text="o1 a1 c1 || o2 a2 c2",
-            trace=("o1", "c1"),
-            expect={"verdict": "VIOLATION", "frontier_history": [1, 1, 0]},
-        ),
-    ]
 
 
 def shrink_regex(e: Regex, predicate: Callable[[Regex], bool]) -> Regex:

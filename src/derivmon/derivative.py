@@ -17,35 +17,20 @@ from .syntax import (
     Cat,
     Empty,
     Eps,
-    EpsFlag,
     Or,
     Regex,
     Shuffle,
     Star,
     Sym,
     Symbol,
-    has_eps,
+    subterms,
 )
 
 
 def derive(e: Regex, symbol: Symbol) -> Regex:
     """One-step derivative of ``e`` by ``symbol``."""
-    # Collect the subterms, each before its children, the left child
-    # last.  In reverse every node follows its subtrees, whose derivatives
-    # then sit on top of ``results``: the left side's above the right's.
-    order: list[Regex] = []
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        kind = type(node)
-        if kind is Star:
-            stack.append(node.body)
-        elif kind is Cat or kind is Or or kind is Shuffle:
-            stack.append(node.right)
-            stack.append(node.left)
     results: list[Regex] = []
-    for node in reversed(order):
+    for node in reversed(subterms(e)):
         kind = type(node)
         if kind is Cat:
             left, right = results.pop(), results.pop()
@@ -78,4 +63,4 @@ def derive_word(e: Regex, word: Sequence[Symbol]) -> Regex:
 
 def accepts(e: Regex, word: Sequence[Symbol]) -> bool:
     """Whether ``word`` is in the language of ``e``, by iterated derivation."""
-    return has_eps(derive_word(e, word)) is EpsFlag.EPS
+    return derive_word(e, word).nullable

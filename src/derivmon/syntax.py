@@ -13,17 +13,15 @@ Every node stores its nullability, size, height and structural hash
 when it is built, so :func:`has_eps`, :func:`size` and :func:`height`
 are attribute reads and hashing costs nothing per call.  Nodes are
 immutable by convention and compared structurally.  :func:`parse`,
-equality and :func:`format_regex` use explicit stacks, so they work at
-any depth.  No simplification is ever applied by this package:
-derivatives are kept in raw syntactic form because the space bounds
-measured elsewhere are claims about exactly that raw form.
+equality, :func:`subterms` and :func:`format_regex` use explicit stacks,
+so they work at any depth.  No simplification is ever applied by this
+package: derivatives are kept in raw syntactic form because the space
+bounds measured elsewhere are claims about exactly that raw form.
 """
 
 from __future__ import annotations
 
 import re
-from enum import Enum
-from typing import Iterator
 
 Symbol = str
 Word = tuple[Symbol, ...]
@@ -186,36 +184,9 @@ class Shuffle(Regex):
         self._hash = hash((6, left._hash, right._hash))
 
 
-class EpsFlag(Enum):
-    """Two-valued nullability flag: does a language contain the empty word?
-
-    EPS acts as true and ZERO as false under ``&`` and ``|``, and the two
-    values map back to the constant expressions ``eps`` and ``0`` so that
-    a flag can be embedded literally inside a derivative.
-    """
-
-    EPS = "eps"
-    ZERO = "0"
-
-    def __bool__(self) -> bool:
-        return self is EpsFlag.EPS
-
-    def __and__(self, other: "EpsFlag") -> "EpsFlag":
-        return EpsFlag.EPS if (self and other) else EpsFlag.ZERO
-
-    def __or__(self, other: "EpsFlag") -> "EpsFlag":
-        return EpsFlag.EPS if (self or other) else EpsFlag.ZERO
-
-    def as_regex(self) -> Regex:
-        return Eps() if self else Empty()
-
-
-_EPS, _ZERO = EpsFlag.EPS, EpsFlag.ZERO
-
-
-def has_eps(e: Regex) -> EpsFlag:
-    """EPS iff the empty word belongs to the language of ``e``."""
-    return _EPS if e.nullable else _ZERO
+def has_eps(e: Regex) -> bool:
+    """Whether the empty word belongs to the language of ``e``."""
+    return e.nullable
 
 
 def height(e: Regex) -> int:
@@ -240,16 +211,28 @@ def children(e: Regex) -> tuple[Regex, ...]:
 
 def alphabet(e: Regex) -> frozenset[Symbol]:
     """The set of symbol names occurring in ``e``."""
-    return frozenset(node.name for node in subterms(e) if isinstance(node, Sym))
+    return frozenset(node.name for node in subterms(e) if type(node) is Sym)
 
 
-def subterms(e: Regex) -> Iterator[Regex]:
-    """Yield ``e`` and all of its subexpressions, parents first, left to right."""
+def subterms(e: Regex) -> list[Regex]:
+    """``e`` and all of its subexpressions, parents first, left to right.
+
+    Folding over the reversed list visits every node after its subtrees,
+    and the right subtree's result is pushed before the left one's, so a
+    fold that keeps results on a stack finds the left side's on top.
+    """
+    order: list[Regex] = []
     stack = [e]
     while stack:
         node = stack.pop()
-        yield node
-        stack.extend(reversed(children(node)))
+        order.append(node)
+        kind = type(node)
+        if kind is Star:
+            stack.append(node.body)
+        elif kind is Cat or kind is Or or kind is Shuffle:
+            stack.append(node.right)
+            stack.append(node.left)
+    return order
 
 
 # Rendering levels, loosest binding first.  A node is parenthesized when

@@ -1,7 +1,114 @@
-"""Replay helper for the worked-example corpus entries."""
+"""The golden example set and its replay helper.
+
+The worked examples collect small expressions with independently known
+derivatives, metrics, and verdicts; the test suites replay them as
+regressions.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Mapping
 
 from derivmon import bounds, derivative, monitor, partial
-from derivmon.syntax import has_eps, height, parse, size
+from derivmon.syntax import Word, has_eps, height, parse, size
+
+
+@dataclass(frozen=True)
+class CorpusEntry:
+    """A golden example: an expression, an optional trace, and expectations.
+
+    ``expect`` keys understood by :func:`replay_entry`:
+
+    - ``derive``: mapping symbol -> rendered Brzozowski derivative
+    - ``derive_has_eps``: mapping symbol -> whether the derivative is nullable
+    - ``frontier``: mapping symbol -> exact list of rendered members
+    - ``walk_heights`` / ``walk_sizes`` / ``walk_size_slack``: metric
+      values along the trace, which must keep the frontier a singleton
+    - ``frontier_after_contains``: rendered members the final frontier
+      must include
+    - ``verdict``: final monitor verdict name for the trace
+    - ``frontier_history``: frontier cardinality after each event
+    """
+
+    label: str
+    text: str
+    trace: Word = ()
+    expect: Mapping[str, object] = field(default_factory=dict)
+
+
+def worked_examples() -> list[CorpusEntry]:
+    """The fixed regression corpus of hand-checked examples."""
+    return [
+        CorpusEntry(
+            label="sum of products keeps both branches",
+            text="a b + a c",
+            expect={
+                "derive": {
+                    "a": "(eps b + 0 0) + (eps c + 0 0)",
+                    "b": "(0 b + 0 eps) + (0 c + 0 0)",
+                },
+                "frontier": {"a": ["eps b", "eps c"]},
+            },
+        ),
+        CorpusEntry(
+            label="star pair, height rises then falls",
+            text="a* b*",
+            trace=("a", "b"),
+            expect={"walk_heights": [2, 3, 2]},
+        ),
+        CorpusEntry(
+            label="star pair, height stays flat",
+            text="a* b*",
+            trace=("b", "b"),
+            expect={"walk_heights": [2, 2, 2]},
+        ),
+        CorpusEntry(
+            label="nested stars, quadratic size jump",
+            text="((a*)*)*",
+            trace=("a", "a"),
+            expect={"walk_sizes": [4, 13, 13]},
+        ),
+        CorpusEntry(
+            label="late size growth under concatenation",
+            text="a b**",
+            trace=("a", "b"),
+            expect={"walk_sizes": [5, 5, 8]},
+        ),
+        CorpusEntry(
+            label="shuffle stuck on a foreign symbol",
+            text="a0 || a1",
+            expect={
+                "derive": {"a2": "(0 || a1) + (a0 || 0)"},
+                "derive_has_eps": {"a2": False},
+                "frontier": {"a2": []},
+            },
+        ),
+        CorpusEntry(
+            label="shuffled stars, size budget must add up",
+            text="a* || b*",
+            trace=("a",),
+            expect={"walk_sizes": [5, 7], "walk_size_slack": [4, 2]},
+        ),
+        CorpusEntry(
+            label="shuffle makes height budgets recur",
+            text="(eps || a*) (b || a*)",
+            trace=("a", "b", "a"),
+            expect={"frontier_after_contains": ["eps || eps a*"]},
+        ),
+        CorpusEntry(
+            label="two file sessions, valid interleaving",
+            text="o1 a1 c1 || o2 a2 c2",
+            trace=("o1", "o2", "a2", "a1", "c1", "c2"),
+            expect={"verdict": "ACCEPTING"},
+        ),
+        CorpusEntry(
+            label="two file sessions, close before access",
+            text="o1 a1 c1 || o2 a2 c2",
+            trace=("o1", "c1"),
+            expect={"verdict": "VIOLATION", "frontier_history": [1, 1, 0]},
+        ),
+    ]
 
 
 def replay_entry(entry):
@@ -12,8 +119,8 @@ def replay_entry(entry):
     for symbol, rendered in expect.get("derive", {}).items():
         assert derivative.derive(e, symbol) == parse(rendered), entry.label
 
-    for symbol, flag_name in expect.get("derive_has_eps", {}).items():
-        assert has_eps(derivative.derive(e, symbol)).name == flag_name, entry.label
+    for symbol, nullable in expect.get("derive_has_eps", {}).items():
+        assert has_eps(derivative.derive(e, symbol)) == nullable, entry.label
 
     for symbol, rendered_members in expect.get("frontier", {}).items():
         expected = frozenset(parse(text) for text in rendered_members)

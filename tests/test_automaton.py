@@ -60,7 +60,7 @@ class TestBuildNfa:
             for symbol in alphabet(e):
                 expected = partial_derivatives(state, symbol)
                 assert listed.get((index, symbol), set()) == set(expected)
-            assert (index in nfa.finals) == bool(has_eps(state))
+            assert (index in nfa.finals) == has_eps(state)
 
     @given(regexes(max_leaves=6))
     @settings(max_examples=60)

@@ -263,5 +263,5 @@ class TestStarChainGrowth:
 
 
 def test_bound_report_holds_property():
-    failing = BoundReport(Sym("a"), 1, 5, 1, 0, "a")
+    failing = BoundReport(Sym("a"), 1, 5, 1, 0)
     assert not failing.holds

@@ -9,12 +9,12 @@ from derivmon.syntax import (
     Cat,
     Empty,
     Eps,
-    EpsFlag,
     Or,
     ParseError,
     Shuffle,
     Star,
     Sym,
+    alphabet,
     format_regex,
     has_eps,
     height,
@@ -155,33 +155,16 @@ class TestMetrics:
 
 class TestHasEps:
     def test_examples(self):
-        assert has_eps(parse("a*")) is EpsFlag.EPS
-        assert has_eps(parse("(0 || a1) + (a0 || 0)")) is EpsFlag.ZERO
-        assert has_eps(parse("a")) is EpsFlag.ZERO
-        assert has_eps(parse("0")) is EpsFlag.ZERO
-        assert has_eps(parse("eps")) is EpsFlag.EPS
-
-    def test_and_table(self):
-        eps, zero = EpsFlag.EPS, EpsFlag.ZERO
-        assert zero & zero is zero
-        assert zero & eps is zero
-        assert eps & zero is zero
-        assert eps & eps is eps
-
-    def test_or_table(self):
-        eps, zero = EpsFlag.EPS, EpsFlag.ZERO
-        assert zero | zero is zero
-        assert zero | eps is eps
-        assert eps | zero is eps
-        assert eps | eps is eps
-
-    def test_flag_to_constant(self):
-        assert EpsFlag.EPS.as_regex() == Eps()
-        assert EpsFlag.ZERO.as_regex() == Empty()
+        assert has_eps(parse("a*")) is True
+        assert has_eps(parse("(0 || a1) + (a0 || 0)")) is False
+        assert has_eps(parse("a")) is False
+        assert has_eps(parse("0")) is False
+        assert has_eps(parse("eps")) is True
 
     @given(regexes(max_leaves=6))
     def test_agrees_with_empty_word_membership(self, e):
-        assert bool(has_eps(e)) == is_member(e, ())
+        assert type(has_eps(e)) is bool
+        assert has_eps(e) == is_member(e, ())
 
 
 class TestSymbols:
@@ -205,14 +188,23 @@ class TestSymbols:
 def reference_has_eps(e):
     match e:
         case Empty() | Sym():
-            return EpsFlag.ZERO
+            return False
         case Eps() | Star():
-            return EpsFlag.EPS
+            return True
         case Cat(left, right) | Shuffle(left, right):
-            return reference_has_eps(left) & reference_has_eps(right)
+            return reference_has_eps(left) and reference_has_eps(right)
         case Or(left, right):
-            return reference_has_eps(left) | reference_has_eps(right)
+            return reference_has_eps(left) or reference_has_eps(right)
     raise TypeError(f"not a Regex: {e!r}")
+
+
+def reference_subterms(e):
+    match e:
+        case Cat(left, right) | Or(left, right) | Shuffle(left, right):
+            return [e] + reference_subterms(left) + reference_subterms(right)
+        case Star(body):
+            return [e] + reference_subterms(body)
+    return [e]
 
 
 def reference_height(e):
@@ -274,6 +266,32 @@ class TestStoredMetrics:
         assert has_eps(e) is reference_has_eps(e)
         assert size(e) == reference_size(e)
         assert height(e) == reference_height(e)
+
+    @given(regexes())
+    def test_subterms_match_the_recursive_preorder(self, e):
+        walked = subterms(e)
+        assert type(walked) is list
+        assert [id(node) for node in walked] == [id(node) for node in reference_subterms(e)]
+
+    def test_subterms_of_a_deep_star_tower(self):
+        e = Sym("a")
+        for _ in range(10**4):
+            e = Star(e)
+        walked = subterms(e)
+        assert len(walked) == 10**4 + 1 and walked[0] is e
+        assert all(walked[i].body is walked[i + 1] for i in range(10**4))
+        assert alphabet(e) == {"a"}
+
+    def test_subterms_of_a_long_union(self):
+        e = Sym("a0")
+        for i in range(1, 10**4):
+            e = Or(e, Sym(f"a{i}"))
+        walked = subterms(e)
+        assert len(walked) == 2 * 10**4 - 1 and walked[0] is e
+        unions, leaves = walked[: 10**4 - 1], walked[10**4 - 1 :]
+        assert all(unions[i].left is unions[i + 1] for i in range(len(unions) - 1))
+        assert [leaf.name for leaf in leaves] == [f"a{i}" for i in range(10**4)]
+        assert alphabet(e) == {f"a{i}" for i in range(10**4)}
 
     @given(regexes())
     def test_independent_copies_are_equal_and_hash_equal(self, e):
