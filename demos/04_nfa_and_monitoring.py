@@ -9,7 +9,8 @@ from derivmon import format_regex, parse, size
 from derivmon.automaton import build_nfa
 from derivmon.bounds import size_budget
 from derivmon.corpus import file_descriptor_spec
-from derivmon.monitor import current_verdict, new_session, run_trace, step
+from derivmon.monitor import Monitor, current_verdict, new_session, run_trace, step
+from derivmon.oracle import shuffle_words
 
 # The reachable partial derivatives of an expression form an NFA: the
 # expression is the initial state, steps are transitions, nullable states
@@ -47,3 +48,20 @@ print("bad trace o1 c1 o2 ->", verdict.value)
 print("frontier history:   ", list(stats.frontier_history))
 print("space telemetry:     max size", stats.max_size, "of budget", stats.size_budget,
       "| max height", stats.max_height, "of budget", stats.height_budget)
+print("transition cache:    hits", stats.cache_hits, "| misses", stats.cache_misses)
+print()
+
+# A Monitor builds the automaton lazily instead: it stores each
+# (frontier, event) transition the second time a session takes it, so
+# sessions sharing one Monitor soon step by table lookup alone.
+monitor = Monitor(spec)
+traces = sorted(shuffle_words(("o1", "a1", "c1"), ("o2", "a2", "c2")))
+verdicts = set()
+for trace in traces * 3:
+    session = monitor.new_session()
+    for event in trace:
+        session = step(session, event)
+    verdicts.add(current_verdict(session).value)
+print(f"{3 * len(traces)} valid traces through one Monitor: verdicts {sorted(verdicts)}")
+print(f"  hits {monitor.hits}, misses {monitor.misses}, nodes kept {monitor.kept}")
+

@@ -9,6 +9,7 @@ internal failure exits with 4, never as a verdict.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -117,16 +118,21 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         print(f"{session.events_seen} {event} {verdict_here} {len(session.frontier)}")
 
     hook = print_step if args.step else None
-    verdict, stats = run_trace(spec, parse_word(trace_text), hook)
+    trace = parse_word(trace_text)
+    # Opened first, so a bad stats path exits 3 before any verdict is printed.
+    with open(args.stats, "w") if args.stats else contextlib.nullcontext() as stats_file:
+        verdict, stats = run_trace(spec, trace, hook)
+        if stats_file is not None:
+            stats_file.write(json.dumps(stats.to_json_dict(), indent=2) + "\n")
     print(verdict.value)
-    if args.stats:
-        Path(args.stats).write_text(json.dumps(stats.to_json_dict(), indent=2) + "\n")
     return verdict.exit_code
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     if args.count < 0:
         raise ValueError(f"--count must be non-negative, got {args.count}")
+    if args.max_word_len < 0:
+        raise ValueError(f"--max-word-len must be non-negative, got {args.max_word_len}")
 
     def problem(e: Regex) -> str | None:
         try:

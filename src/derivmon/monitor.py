@@ -1,9 +1,27 @@
 """Online trace monitoring by frontier rewriting.
 
 A session keeps the set of partial derivatives of its specification by
-the events consumed so far.  Each event rewrites that frontier in
-place-free fashion: ``advance`` returns a new session, so sessions can
-be shared freely and stepped independently.
+the events consumed so far, and the :class:`Monitor` it was opened
+from.  Each event rewrites that frontier in place-free fashion:
+``step`` returns a new session, so sessions can be shared freely and
+stepped independently.
+
+A ``Monitor`` is the partial-derivative automaton of one specification,
+determinized on demand.  It remembers transitions ``(frontier, event)
+-> next frontier``, each with the next frontier's verdict and the size
+and height of its largest member, so a frontier reached again is
+stepped by one table lookup; only frontiers that occur are ever built,
+never the 4**n states of the eager automaton.  Lookups are exact (keys
+compare as frozensets of expressions), and the stored frontier is
+handed back to the session, so the next lookup matches on identity.
+Sessions opened from one monitor share its table.
+
+A transition is stored only on its second sighting: a first sighting
+leaves the key's hash in a doorkeeper set, cleared whenever it reaches
+``DOORKEEPER_SIZE``.  A trace in which every frontier is new, such as a
+long sequence specification, therefore keeps nothing.  The expression
+nodes the table holds are capped at ``NODE_CAP``; past the cap, steps
+go uncached.  Neither rule can change a result, only its cost.
 
 The verdict is three-valued.  An empty frontier means no correct trace
 extends the input: VIOLATION, and it is absorbing.  A nullable frontier
@@ -16,7 +34,6 @@ violation direction is definitive.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -24,6 +41,9 @@ from typing import Callable, Sequence
 from .bounds import height_budget, size_budget
 from .partial import step_frontier
 from .syntax import Regex, Symbol, has_eps, height, size
+
+DOORKEEPER_SIZE = 4096
+NODE_CAP = 1 << 14
 
 
 class Verdict(Enum):
@@ -36,45 +56,132 @@ class Verdict(Enum):
         return {"ACCEPTING": 0, "PENDING": 1, "VIOLATION": 2}[self.value]
 
 
-@dataclass(frozen=True)
+def _verdict(frontier: frozenset[Regex]) -> Verdict:
+    if not frontier:
+        return Verdict.VIOLATION
+    if any(has_eps(e) for e in frontier):
+        return Verdict.ACCEPTING
+    return Verdict.PENDING
+
+
+# Next frontier, its largest member's size and height, and its verdict.
+_Transition = tuple[frozenset[Regex], int, int, Verdict]
+
+
+class Monitor:
+    """The lazily determinized automaton of one specification.
+
+    ``hits`` and ``misses`` count table lookups, and ``kept`` the
+    expression nodes of the distinct frontiers that stored transitions
+    hold.  The monitor is the one mutable object of the package; its
+    caller owns it.
+    """
+
+    __slots__ = ("spec", "hits", "misses", "kept", "_table", "_frontiers", "_seen")
+
+    def __init__(self, spec: Regex) -> None:
+        self.spec = spec
+        self.hits = 0
+        self.misses = 0
+        self.kept = 0
+        self._table: dict[tuple[frozenset[Regex], Symbol], _Transition] = {}
+        self._frontiers: dict[frozenset[Regex], frozenset[Regex]] = {}
+        self._seen: set[int] = set()
+
+    def new_session(self) -> MonitorSession:
+        """A session at the start of a trace, sharing this monitor's table."""
+        frontier = frozenset({self.spec})
+        return MonitorSession(
+            self, frontier, 0, size(self.spec), height(self.spec), _verdict(frontier)
+        )
+
+    def _miss(self, frontier: frozenset[Regex], event: Symbol) -> _Transition:
+        self.misses += 1
+        after = step_frontier(frontier, event)
+        sizes = [size(e) for e in after]
+        found = (
+            after,
+            max(sizes, default=0),
+            max([height(e) for e in after], default=0),
+            _verdict(after),
+        )
+        key = (frontier, event)
+        digest = hash(key)
+        if digest not in self._seen:
+            if len(self._seen) >= DOORKEEPER_SIZE:
+                self._seen.clear()
+            self._seen.add(digest)
+            return found
+        fresh = [f for f in {frontier, after} if f not in self._frontiers]
+        nodes = sum([size(e) for f in fresh for e in f])
+        if self.kept + nodes > NODE_CAP:
+            return found
+        self.kept += nodes
+        for f in fresh:
+            self._frontiers[f] = f
+        # Both ends become the stored objects, so that the session stepping
+        # from ``after`` next time looks up an identical frontier.
+        found = (self._frontiers[after],) + found[1:]
+        self._table[(self._frontiers[frontier], event)] = found
+        return found
+
+
 class MonitorSession:
-    spec: Regex
-    frontier: frozenset[Regex]
-    events_seen: int
-    max_size_seen: int
-    max_height_seen: int
+    """One trace's position: its monitor, frontier, verdict and counters.
+
+    Immutable by convention, like expression nodes: ``step`` builds a
+    new session and nothing assigns to a built one.
+    """
+
+    __slots__ = ("monitor", "frontier", "events_seen", "max_size_seen", "max_height_seen", "verdict")
+
+    def __init__(
+        self,
+        monitor: Monitor,
+        frontier: frozenset[Regex],
+        events_seen: int,
+        max_size_seen: int,
+        max_height_seen: int,
+        verdict: Verdict,
+    ) -> None:
+        self.monitor = monitor
+        self.frontier = frontier
+        self.events_seen = events_seen
+        self.max_size_seen = max_size_seen
+        self.max_height_seen = max_height_seen
+        self.verdict = verdict
+
+    @property
+    def spec(self) -> Regex:
+        return self.monitor.spec
 
 
 def new_session(spec: Regex) -> MonitorSession:
-    return MonitorSession(
-        spec=spec,
-        frontier=frozenset({spec}),
-        events_seen=0,
-        max_size_seen=size(spec),
-        max_height_seen=height(spec),
-    )
+    """A session of a fresh :class:`Monitor` of ``spec``."""
+    return Monitor(spec).new_session()
 
 
 def step(session: MonitorSession, event: Symbol) -> MonitorSession:
     """Consume one event; on an empty frontier only the event count moves."""
-    frontier = step_frontier(session.frontier, event)
-    max_size = max([session.max_size_seen] + [size(e) for e in frontier])
-    max_height = max([session.max_height_seen] + [height(e) for e in frontier])
-    return dataclasses.replace(
-        session,
-        frontier=frontier,
-        events_seen=session.events_seen + 1,
-        max_size_seen=max_size,
-        max_height_seen=max_height,
+    monitor = session.monitor
+    found = monitor._table.get((session.frontier, event))
+    if found is None:
+        found = monitor._miss(session.frontier, event)
+    else:
+        monitor.hits += 1
+    frontier, max_size, max_height, verdict = found
+    return MonitorSession(
+        monitor,
+        frontier,
+        session.events_seen + 1,
+        max_size if max_size > session.max_size_seen else session.max_size_seen,
+        max_height if max_height > session.max_height_seen else session.max_height_seen,
+        verdict,
     )
 
 
 def current_verdict(session: MonitorSession) -> Verdict:
-    if not session.frontier:
-        return Verdict.VIOLATION
-    if any(has_eps(e) for e in session.frontier):
-        return Verdict.ACCEPTING
-    return Verdict.PENDING
+    return session.verdict
 
 
 @dataclass(frozen=True)
@@ -88,6 +195,9 @@ class TraceStats:
     size_budget: int
     height_budget: int
     frontier_history: tuple[int, ...]
+    cache_hits: int
+    cache_misses: int
+    cache_kept: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -98,6 +208,7 @@ class TraceStats:
             "sizeBudget": self.size_budget,
             "heightBudget": self.height_budget,
             "frontierHistory": list(self.frontier_history),
+            "cache": {"hits": self.cache_hits, "misses": self.cache_misses, "kept": self.cache_kept},
         }
 
 
@@ -106,25 +217,28 @@ def run_trace(
     trace: Sequence[Symbol],
     on_step: Callable[[Symbol, MonitorSession], None] | None = None,
 ) -> tuple[Verdict, TraceStats]:
-    """Fold a whole trace through a fresh session and report statistics.
+    """Fold a whole trace through a session of a fresh monitor and report statistics.
 
     ``on_step(event, session)``, when given, sees the session after each event.
     """
-    session = new_session(spec)
+    monitor = Monitor(spec)
+    session = monitor.new_session()
     history = [len(session.frontier)]
     for event in trace:
         session = step(session, event)
         history.append(len(session.frontier))
         if on_step is not None:
             on_step(event, session)
-    verdict = current_verdict(session)
     stats = TraceStats(
         events=session.events_seen,
-        verdict=verdict,
+        verdict=session.verdict,
         max_size=session.max_size_seen,
         max_height=session.max_height_seen,
         size_budget=size_budget(spec),
         height_budget=height_budget(spec),
         frontier_history=tuple(history),
+        cache_hits=monitor.hits,
+        cache_misses=monitor.misses,
+        cache_kept=monitor.kept,
     )
-    return verdict, stats
+    return session.verdict, stats

@@ -153,6 +153,16 @@ class TestMonitor:
         assert record["sizeBudget"] == 30
         assert record["heightBudget"] == 3
         assert record["frontierHistory"] == [1, 1, 1]
+        assert record["cache"] == {"hits": 0, "misses": 2, "kept": 0}
+
+    def test_unwritable_stats_path_prints_no_verdict(self, tmp_path, capsys):
+        spec = self.write(tmp_path, "spec.txt", "a b")
+        trace = self.write(tmp_path, "trace.txt", "a")
+        stats_path = str(tmp_path / "missing" / "stats.json")
+        code, out, err = run_cli(capsys, "monitor", "--step", "--stats", stats_path, spec, trace)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_empty_trace_file(self, tmp_path, capsys):
         spec = self.write(tmp_path, "spec.txt", "a*")
@@ -278,3 +288,9 @@ class TestFuzz:
         assert code == 3
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_negative_max_word_len_names_the_flag(self, capsys):
+        code, out, err = run_cli(capsys, "fuzz", "--count", "5", "--max-word-len", "-2")
+        assert code == 3
+        assert out == ""
+        assert err == "error: --max-word-len must be non-negative, got -2\n"

@@ -1,17 +1,23 @@
+import random
+
+import pytest
 from hypothesis import given, settings
 
+from derivmon import monitor as monitor_mod
 from derivmon.bounds import height_budget, size_budget
 from derivmon.corpus import file_descriptor_spec
 from derivmon.monitor import (
+    Monitor,
     Verdict,
     current_verdict,
     new_session,
     run_trace,
     step,
 )
-from derivmon.oracle import is_member
+from derivmon.oracle import is_member, shuffle_words
 from derivmon.partial import accepts as accepts_by_partial
-from derivmon.syntax import parse
+from derivmon.partial import step_frontier
+from derivmon.syntax import has_eps, height, parse, size
 from strategies import regexes, words
 
 
@@ -114,9 +120,11 @@ class TestRunTrace:
             "sizeBudget",
             "heightBudget",
             "frontierHistory",
+            "cache",
         }
         assert record["verdict"] == "ACCEPTING"
         assert record["frontierHistory"][0] == 1
+        assert record["cache"] == {"hits": 0, "misses": 2, "kept": 0}
 
     @given(regexes(max_leaves=6), words(max_len=4))
     @settings(max_examples=80)
@@ -186,6 +194,102 @@ class TestDeepSpecs:
         verdict, stats = run_trace(parse(self.sequence(n)), self.sequence(n).split())
         assert verdict is Verdict.ACCEPTING
         assert stats.frontier_history == (1,) * (n + 1)
+
+
+def criterion_8_traces(count=60, seed=80908):
+    """Valid file-session interleavings and mutated ones, as in criterion 8."""
+    valid = sorted(shuffle_words(("o1", "a1", "c1"), ("o2", "a2", "c2")))
+    rng = random.Random(seed)
+    traces = []
+    for _ in range(count):
+        trace = list(rng.choice(valid))
+        if rng.random() < 0.5:
+            del trace[rng.randrange(len(trace))]
+        elif rng.random() < 0.5:
+            i = rng.randrange(len(trace) - 1)
+            trace[i], trace[i + 1] = trace[i + 1], trace[i]
+        traces.append(tuple(trace))
+    return traces
+
+
+def fold(session, trace):
+    """The sessions after each event of ``trace``."""
+    out = []
+    for event in trace:
+        session = step(session, event)
+        out.append(session)
+    return out
+
+
+class TestMonitorCache:
+    @given(regexes(max_leaves=6), words(max_len=4))
+    @settings(max_examples=80)
+    def test_cached_steps_equal_the_plain_fold(self, e, w):
+        # Three passes of one word through one monitor: the first sighting
+        # of each transition is remembered, the second stores it, and the
+        # third pass is served from the table.
+        monitor = Monitor(e)
+        for _ in range(3):
+            session = monitor.new_session()
+            frontier, max_size, max_height = frozenset({e}), size(e), height(e)
+            for event in w:
+                session = step(session, event)
+                frontier = step_frontier(frontier, event)
+                max_size = max([max_size] + [size(m) for m in frontier])
+                max_height = max([max_height] + [height(m) for m in frontier])
+                assert session.frontier == frontier
+                assert (session.max_size_seen, session.max_height_seen) == (max_size, max_height)
+                if not frontier:
+                    assert current_verdict(session) is Verdict.VIOLATION
+                elif any(has_eps(m) for m in frontier):
+                    assert current_verdict(session) is Verdict.ACCEPTING
+                else:
+                    assert current_verdict(session) is Verdict.PENDING
+        assert monitor.hits >= len(w)
+        assert monitor.hits + monitor.misses == 3 * len(w)
+
+    def test_shared_monitor_matches_fresh_sessions_on_criterion_8(self):
+        spec = file_descriptor_spec(2)
+        shared = Monitor(spec)
+        for trace in criterion_8_traces():
+            verdict, stats = run_trace(spec, trace)
+            cached = fold(shared.new_session(), trace)
+            fresh = fold(new_session(spec), trace)
+            assert [s.frontier for s in cached] == [s.frontier for s in fresh]
+            assert [current_verdict(s) for s in cached] == [current_verdict(s) for s in fresh]
+            assert (1,) + tuple(len(s.frontier) for s in cached) == stats.frontier_history
+            assert current_verdict(cached[-1]) is verdict
+        assert shared.hits > shared.misses > 0
+
+    def test_a_trace_of_new_frontiers_keeps_nothing(self):
+        events = [f"e{i}" for i in range(1200)]
+        _, stats = run_trace(parse(" ".join(events)), events)
+        assert (stats.cache_hits, stats.cache_misses, stats.cache_kept) == (0, 1200, 0)
+
+    def test_recurring_transitions_are_kept_from_their_second_sighting(self):
+        # Frontiers {(a b)*} -a-> F1 -b-> F2 -a-> F1 -b-> F2: only (F1, b)
+        # recurs within the first pass.
+        monitor = Monitor(parse("(a b)*"))
+        fold(monitor.new_session(), "abab")
+        assert (monitor.hits, monitor.misses) == (0, 4)
+        assert monitor.kept > 0
+        fold(monitor.new_session(), "abab")
+        assert (monitor.hits, monitor.misses) == (2, 6)
+        fold(monitor.new_session(), "abab")
+        assert (monitor.hits, monitor.misses) == (6, 6)
+
+    @pytest.mark.parametrize(("cap", "doorkeeper"), [(0, 4096), (40, 4096), (10**6, 1)])
+    def test_admission_limits_change_no_result(self, monkeypatch, cap, doorkeeper):
+        monkeypatch.setattr(monitor_mod, "NODE_CAP", cap)
+        monkeypatch.setattr(monitor_mod, "DOORKEEPER_SIZE", doorkeeper)
+        spec = file_descriptor_spec(2)
+        shared = Monitor(spec)
+        for trace in criterion_8_traces(count=40, seed=5):
+            cached = fold(shared.new_session(), trace)
+            fresh = fold(new_session(spec), trace)
+            assert [s.frontier for s in cached] == [s.frontier for s in fresh]
+            assert [current_verdict(s) for s in cached] == [current_verdict(s) for s in fresh]
+            assert shared.kept <= cap
 
 
 def test_verdict_exit_codes():
