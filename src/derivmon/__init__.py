@@ -11,13 +11,14 @@ everything else, :mod:`.check` states the paper's claims as checks on
 one expression, and :mod:`.corpus` provides seeded random expressions
 and shrinking.
 
-Every expression node stores its nullability, size, height and hash
-when it is built, so those are constant-time reads; derivatives stay in
-the paper's raw, unsimplified form.  Nodes are immutable by convention
-(nothing assigns to a built node), the other values are immutable, and
-all functions are pure and keep no state between calls, so all of that
-is safe to share across threads; a monitor session is advanced by
-building a new session rather than mutating the old one.  The one
+Every expression node stores its nullability, size, height, hash and
+first-symbol mask when it is built, so those are constant-time reads;
+derivatives stay in the paper's raw, unsimplified form.  Nodes are
+immutable by convention (nothing assigns to a built node), the other
+values are immutable, and all functions are pure and keep no state
+between calls, so all of that is safe to share across threads; a
+monitor session is advanced by building a new session rather than
+mutating the old one.  The one
 mutable object is :class:`.monitor.Monitor`, the transition table of
 one specification, which its caller creates and owns.  Sessions opened
 from one monitor write to its table as they step, so step them from

@@ -84,7 +84,10 @@ def build_nfa(e: Regex, *, cap: int = DEFAULT_CLOSURE_CAP) -> Nfa:
         state = queue.popleft()
         source = index[state]
         for symbol in symbols:
-            for target in sorted(partial_derivatives(state, symbol), key=format_regex):
+            targets = partial_derivatives(state, symbol)
+            if len(targets) > 1:
+                targets = sorted(targets, key=format_regex)
+            for target in targets:
                 if target not in index:
                     index[target] = len(states)
                     states.append(target)

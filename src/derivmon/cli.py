@@ -133,6 +133,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         raise ValueError(f"--count must be non-negative, got {args.count}")
     if args.max_word_len < 0:
         raise ValueError(f"--max-word-len must be non-negative, got {args.max_word_len}")
+    if args.max_word_len > oracle.DEFAULT_MAX_LEN_GUARD:
+        raise ValueError(
+            f"--max-word-len must be at most {oracle.DEFAULT_MAX_LEN_GUARD}, got {args.max_word_len}"
+        )
 
     def problem(e: Regex) -> str | None:
         try:

@@ -11,6 +11,13 @@ Members are deduplicated by structural equality only; no smart
 constructors, no reassociation.  The set of all expressions reachable
 over all words (the closure) is finite, which is what makes the
 construction usable as an NFA state space.
+
+The step walks only the subterms whose stored ``first`` mask has the
+symbol's bit.  That is exact: a subterm has a derivative by ``a``
+exactly when a first step can consume one of its ``a`` leaves (``a`` is
+in its structural first set), and its mask holds the bits of all such
+symbols.  A bit shared with another symbol costs a walk that finds
+nothing, never a member, so the result is the paper's raw relation.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ from typing import Iterable, Sequence
 
 from .syntax import (
     Cat,
-    Empty,
     Eps,
     Or,
     Regex,
@@ -28,10 +34,12 @@ from .syntax import (
     Sym,
     Symbol,
     has_eps,
+    symbol_bit,
 )
 
 DEFAULT_CLOSURE_CAP = 1_000_000
 _NO_DERIVATIVES: frozenset[Regex] = frozenset()
+_EPS = Eps()  # shared: nodes are immutable
 
 
 def partial_derivatives(e: Regex, symbol: Symbol) -> frozenset[Regex]:
@@ -40,8 +48,13 @@ def partial_derivatives(e: Regex, symbol: Symbol) -> frozenset[Regex]:
     ``0``, ``eps`` and mismatched symbols have no derivatives at all;
     a nullable left factor lets concatenation step into its right side.
     """
-    # Collect the subterms the step needs, each before its children: a
-    # concatenation needs its right side only when its left side is nullable.
+    bit = symbol_bit(symbol)
+    if not e.first & bit:
+        return _NO_DERIVATIVES
+    # Collect the subterms that can step, each before its children: those
+    # whose ``first`` mask has the symbol's bit, and the right side of a
+    # concatenation only when its left side is nullable.  Every collected
+    # node has the bit, so at least one of its children is collected too.
     needed: list[Regex] = []
     stack = [e]
     while stack:
@@ -49,46 +62,47 @@ def partial_derivatives(e: Regex, symbol: Symbol) -> frozenset[Regex]:
         needed.append(node)
         kind = type(node)
         if kind is Cat:
-            stack.append(node.left)
-            if node.left.nullable:
+            if node.left.first & bit:
+                stack.append(node.left)
+            if node.left.nullable and node.right.first & bit:
                 stack.append(node.right)
         elif kind is Or or kind is Shuffle:
-            stack.append(node.left)
-            stack.append(node.right)
+            if node.left.first & bit:
+                stack.append(node.left)
+            if node.right.first & bit:
+                stack.append(node.right)
         elif kind is Star:
             stack.append(node.body)
     # Each subtree is a contiguous run of ``needed``, so in reverse every
-    # node comes right after its children, whose results then sit on top
-    # of ``results``: the right side's above the left side's.
-    results: list[frozenset[Regex]] = []
+    # node comes right after its collected children, whose results then
+    # sit on top of ``results``: the right side's above the left side's.
+    # A result is a list that may repeat a member; every wrapper maps
+    # members one to one, so one frozenset at the end deduplicates.
+    results: list[list[Regex]] = []
     for node in reversed(needed):
         kind = type(node)
-        if kind is Cat:
-            right = node.right
-            after = results.pop() if node.left.nullable else _NO_DERIVATIVES
-            steps = results.pop()
-            out = frozenset([Cat(d, right) for d in steps]).union(after) if steps else after
-        elif kind is Sym:
-            out = frozenset([Eps()]) if node.name == symbol else _NO_DERIVATIVES
+        if kind is Sym:
+            out = [_EPS] if node.name == symbol else []
+        elif kind is Cat:
+            left, right = node.left, node.right
+            after = results.pop() if left.nullable and right.first & bit else []
+            steps = results.pop() if left.first & bit else []
+            out = [Cat(d, right) for d in steps] + after
         elif kind is Or:
-            after = results.pop()
-            out = results.pop() | after
+            after = results.pop() if node.right.first & bit else []
+            steps = results.pop() if node.left.first & bit else []
+            out = steps + after
         elif kind is Star:
-            steps = results.pop()
-            out = frozenset([Cat(d, node) for d in steps]) if steps else _NO_DERIVATIVES
+            out = [Cat(d, node) for d in results.pop()]
         elif kind is Shuffle:
             left, right = node.left, node.right
-            rights = results.pop()
-            lefts = results.pop()
-            out = frozenset(
-                [Shuffle(d, right) for d in lefts] + [Shuffle(left, d) for d in rights]
-            )
-        elif kind is Empty or kind is Eps:
-            out = _NO_DERIVATIVES
+            rights = results.pop() if right.first & bit else []
+            lefts = results.pop() if left.first & bit else []
+            out = [Shuffle(d, right) for d in lefts] + [Shuffle(left, d) for d in rights]
         else:
             raise TypeError(f"not a Regex: {node!r}")
         results.append(out)
-    return results[0]
+    return frozenset(results[0])
 
 
 def step_frontier(frontier: Iterable[Regex], symbol: Symbol) -> frozenset[Regex]:

@@ -9,19 +9,22 @@ shuffle (interleaving) operator.  Operator precedence, tightest first:
 star, juxtaposition (concatenation), ``+`` (union), ``||`` (shuffle);
 the binary operators associate to the left.
 
-Every node stores its nullability, size, height and structural hash
-when it is built, so :func:`has_eps`, :func:`size` and :func:`height`
-are attribute reads and hashing costs nothing per call.  Nodes are
-immutable by convention and compared structurally.  :func:`parse`,
-equality, :func:`subterms` and :func:`format_regex` use explicit stacks,
-so they work at any depth.  No simplification is ever applied by this
-package: derivatives are kept in raw syntactic form because the space
-bounds measured elsewhere are claims about exactly that raw form.
+Every node stores its nullability, size, height, structural hash and
+first-symbol mask when it is built, so :func:`has_eps`, :func:`size` and
+:func:`height` are attribute reads, hashing costs nothing per call, and
+the partial-derivative step skips every subterm that cannot step by its
+symbol.  Nodes are immutable by convention and compared structurally.
+:func:`parse`, equality, :func:`subterms` and :func:`format_regex` use
+explicit stacks, so they work at any depth.  No simplification is ever
+applied by this package: derivatives are kept in raw syntactic form
+because the space bounds measured elsewhere are claims about exactly
+that raw form.
 """
 
 from __future__ import annotations
 
 import re
+import zlib
 
 Symbol = str
 Word = tuple[Symbol, ...]
@@ -36,19 +39,24 @@ class ParseError(ValueError):
 class Regex:
     """Base class of expression nodes.
 
-    Each constructor stores four facts about the tree it roots, computed
+    Each constructor stores five facts about the tree it roots, computed
     once from the children's stored values: ``nullable`` (the language
     contains the empty word), ``size`` (number of tree nodes), ``height``
-    (constants and symbols sit at 0) and a structural hash.  Nodes are
+    (constants and symbols sit at 0), a structural hash, and ``first``, a
+    64-bit mask of the :func:`symbol_bit` of every symbol leaf that a
+    first step can consume.  ``first`` follows the structure, not the
+    language (``a 0`` has ``a``'s bit), and two symbols may share a bit,
+    but a symbol whose bit is clear has no partial derivative.  Nodes are
     immutable by convention: nothing assigns to a built node, and the
     stored facts would go stale if anything did.  Equality is structural.
     """
 
-    __slots__ = ("nullable", "size", "height", "_hash")
+    __slots__ = ("nullable", "size", "height", "_hash", "first")
 
     nullable: bool
     size: int
     height: int
+    first: int
 
     def __hash__(self) -> int:
         return self._hash
@@ -95,6 +103,7 @@ class Empty(Regex):
         self.size = 1
         self.height = 0
         self._hash = hash((0,))
+        self.first = 0
 
 
 class Eps(Regex):
@@ -107,6 +116,7 @@ class Eps(Regex):
         self.size = 1
         self.height = 0
         self._hash = hash((1,))
+        self.first = 0
 
 
 class Sym(Regex):
@@ -123,6 +133,7 @@ class Sym(Regex):
         self.size = 1
         self.height = 0
         self._hash = hash((2, name))
+        self.first = symbol_bit(name)
 
 
 class Cat(Regex):
@@ -138,6 +149,7 @@ class Cat(Regex):
         self.size = left.size + right.size + 1
         self.height = (left.height if left.height > right.height else right.height) + 1
         self._hash = hash((3, left._hash, right._hash))
+        self.first = left.first | right.first if left.nullable else left.first
 
 
 class Or(Regex):
@@ -153,6 +165,7 @@ class Or(Regex):
         self.size = left.size + right.size + 1
         self.height = (left.height if left.height > right.height else right.height) + 1
         self._hash = hash((4, left._hash, right._hash))
+        self.first = left.first | right.first
 
 
 class Star(Regex):
@@ -167,6 +180,7 @@ class Star(Regex):
         self.size = body.size + 1
         self.height = body.height + 1
         self._hash = hash((5, body._hash))
+        self.first = body.first
 
 
 class Shuffle(Regex):
@@ -182,6 +196,14 @@ class Shuffle(Regex):
         self.size = left.size + right.size + 1
         self.height = (left.height if left.height > right.height else right.height) + 1
         self._hash = hash((6, left._hash, right._hash))
+        self.first = left.first | right.first
+
+
+def symbol_bit(name: Symbol) -> int:
+    """The one bit of ``name`` in ``first`` masks: a CRC-32 of the name, so
+    it is the same in every process (``hash`` of a str is salted).  Any str
+    has a bit, even one no expression can contain, such as a lone surrogate."""
+    return 1 << (zlib.crc32(name.encode("utf-8", "surrogatepass")) & 63)
 
 
 def has_eps(e: Regex) -> bool:

@@ -39,6 +39,19 @@ class TestBuildNfa:
         with pytest.raises(CapacityError):
             build_nfa(file_descriptor_spec(3), cap=10)
 
+    def test_successors_are_ordered_by_their_text(self):
+        # Two steps with four successors each; set iteration order varies
+        # with the process's string hashing, the rendered order does not.
+        spec = "(a b + a c + a d + a e)*"
+        assert build_nfa(parse(spec)).to_json_dict() == {
+            "states": [spec] + [f"eps {x} {spec}" for x in "bcde"] + [f"eps {spec}"],
+            "initial": 0,
+            "finals": [0, 5],
+            "transitions": [[0, "a", 1], [0, "a", 2], [0, "a", 3], [0, "a", 4]]
+            + [[1, "b", 5], [2, "c", 5], [3, "d", 5], [4, "e", 5]]
+            + [[5, "a", 1], [5, "a", 2], [5, "a", 3], [5, "a", 4]],
+        }
+
     @given(regexes(max_leaves=6))
     @settings(max_examples=60)
     def test_states_equal_the_closure(self, e):

@@ -294,3 +294,10 @@ class TestFuzz:
         assert code == 3
         assert out == ""
         assert err == "error: --max-word-len must be non-negative, got -2\n"
+
+    def test_max_word_len_over_the_oracle_guard_names_the_flag(self, capsys):
+        for count in ("0", "5"):  # checked even when no expression is
+            code, out, err = run_cli(capsys, "fuzz", "--count", count, "--max-word-len", "13")
+            assert code == 3
+            assert out == ""
+            assert err == "error: --max-word-len must be at most 12, got 13\n"

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from derivmon import derivative
+from derivmon import derivative, partial, syntax
 from derivmon.errors import CapacityError
 from derivmon.oracle import is_member, lang_up_to
 from derivmon.partial import (
@@ -11,8 +11,40 @@ from derivmon.partial import (
     partial_derivatives,
     partial_derivatives_word,
 )
-from derivmon.syntax import parse, size
-from strategies import regexes, symbols, words
+from derivmon.syntax import Cat, Empty, Eps, Or, Shuffle, Star, Sym, format_regex, parse, size
+from strategies import DEFAULT_ALPHABET, regexes, symbols, words
+from test_syntax import reference_first_set
+
+# "z" occurs in no generated expression and shares its first-mask bit with
+# "c", so stepping by it walks subterms and must still find nothing.
+FOREIGN = "z"
+steps = st.sampled_from(DEFAULT_ALPHABET + (FOREIGN,))
+
+
+def reference_partial_derivatives(e, symbol):
+    """The unpruned step: every subterm walked, a frozenset at every level."""
+    match e:
+        case Empty() | Eps():
+            return frozenset()
+        case Sym(name):
+            return frozenset({Eps()}) if name == symbol else frozenset()
+        case Cat(left, right):
+            out = frozenset(Cat(d, right) for d in reference_partial_derivatives(left, symbol))
+            if left.nullable:
+                out |= reference_partial_derivatives(right, symbol)
+            return out
+        case Or(left, right):
+            return reference_partial_derivatives(left, symbol) | reference_partial_derivatives(
+                right, symbol
+            )
+        case Star(body):
+            return frozenset(Cat(d, e) for d in reference_partial_derivatives(body, symbol))
+        case Shuffle(left, right):
+            return frozenset(
+                [Shuffle(d, right) for d in reference_partial_derivatives(left, symbol)]
+                + [Shuffle(left, d) for d in reference_partial_derivatives(right, symbol)]
+            )
+    raise TypeError(f"not a Regex: {e!r}")
 
 
 class TestPartialDerivatives:
@@ -39,6 +71,36 @@ class TestPartialDerivatives:
             *(lang_up_to(d, k) for d in partial_derivatives(e, a))
         )
         assert union == lang_up_to(derivative.derive(e, a), k)
+
+
+class TestFirstMaskPruning:
+    def test_foreign_symbol_shares_a_bit(self):
+        assert syntax.symbol_bit(FOREIGN) == syntax.symbol_bit("c")
+
+    def test_any_str_is_a_symbol_without_derivatives(self):
+        # Events reach the monitor unvalidated; this one cannot be UTF-8 encoded.
+        assert partial_derivatives(parse("a* || b"), "\udc80") == frozenset()
+
+    @given(regexes(), steps)
+    @settings(max_examples=200)
+    def test_equals_the_unpruned_step(self, e, a):
+        assert partial_derivatives(e, a) == reference_partial_derivatives(e, a)
+
+    @given(regexes(), steps)
+    @settings(max_examples=200)
+    def test_nonempty_exactly_on_the_first_set(self, e, a):
+        assert bool(partial_derivatives(e, a)) == (a in reference_first_set(e))
+
+    @given(regexes(), steps)
+    @settings(max_examples=100)
+    def test_one_shared_bit_changes_nothing(self, e, a):
+        expected = partial_derivatives(e, a)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(syntax, "symbol_bit", lambda name: 1)
+            patch.setattr(partial, "symbol_bit", lambda name: 1)
+            rebuilt = parse(format_regex(e))  # nodes built under the patch
+            assert rebuilt.first == (1 if reference_first_set(e) else 0)
+            assert partial_derivatives(rebuilt, a) == expected
 
 
 class TestPartialDerivativesWord:

@@ -22,6 +22,7 @@ from derivmon.syntax import (
     parse_word,
     size,
     subterms,
+    symbol_bit,
 )
 from strategies import regexes
 
@@ -207,6 +208,25 @@ def reference_subterms(e):
     return [e]
 
 
+def reference_first_set(e):
+    """The symbols that lead a partial-derivative step of ``e``: its
+    structural first set, which ignores emptiness (``a 0`` starts with a)."""
+    match e:
+        case Empty() | Eps():
+            return frozenset()
+        case Sym(name):
+            return frozenset({name})
+        case Cat(left, right):
+            if reference_has_eps(left):
+                return reference_first_set(left) | reference_first_set(right)
+            return reference_first_set(left)
+        case Or(left, right) | Shuffle(left, right):
+            return reference_first_set(left) | reference_first_set(right)
+        case Star(body):
+            return reference_first_set(body)
+    raise TypeError(f"not a Regex: {e!r}")
+
+
 def reference_height(e):
     match e:
         case Empty() | Eps() | Sym():
@@ -266,6 +286,17 @@ class TestStoredMetrics:
         assert has_eps(e) is reference_has_eps(e)
         assert size(e) == reference_size(e)
         assert height(e) == reference_height(e)
+        bits = 0
+        for name in reference_first_set(e):
+            bits |= symbol_bit(name)
+        assert e.first == bits
+
+    def test_symbol_bit_is_one_fixed_bit(self):
+        # CRC-32 of the name, so every process agrees.
+        assert symbol_bit("a") == 1 << 3
+        assert symbol_bit("open_file") == 1 << 53
+        assert all(bin(symbol_bit(f"s{i}")).count("1") == 1 for i in range(200))
+        assert all(symbol_bit(f"s{i}") < 1 << 64 for i in range(200))
 
     @given(regexes())
     def test_subterms_match_the_recursive_preorder(self, e):
