@@ -7,8 +7,8 @@ sweeps can be reproduced from a single integer.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 from .syntax import (
     Cat,
@@ -24,7 +24,7 @@ from .syntax import (
     size,
 )
 
-DEFAULT_WEIGHTS: Mapping[str, float] = {
+_WEIGHTS = {
     "empty": 1,
     "eps": 2,
     "sym": 8,
@@ -45,7 +45,6 @@ class GenConfig:
     alphabet_size: int = 3
     shuffle_enabled: bool = True
     seed: int = 0
-    weights: Mapping[str, float] = field(default_factory=lambda: DEFAULT_WEIGHTS)
 
     def symbols(self) -> list[str]:
         if self.alphabet_size <= len(_LETTERS):
@@ -57,6 +56,8 @@ def gen_corpus(cfg: GenConfig, count: int) -> list[Regex]:
     """A reproducible stream of ``count`` random expressions, each of size <= cfg.max_size."""
     if cfg.max_size < 1:
         raise ValueError("max_size must be at least 1")
+    if cfg.alphabet_size < 1:
+        raise ValueError("alphabet_size must be at least 1")
     rng = random.Random(cfg.seed)
     return [_gen(cfg, rng, cfg.max_size) for _ in range(count)]
 
@@ -69,8 +70,7 @@ def _gen(cfg: GenConfig, rng: random.Random, budget: int) -> Regex:
         kinds.extend(["cat", "or"])
         if cfg.shuffle_enabled:
             kinds.append("shuffle")
-    weights = [cfg.weights.get(kind, 0.0) for kind in kinds]
-    kind = rng.choices(kinds, weights=weights)[0]
+    kind = rng.choices(kinds, weights=[_WEIGHTS[k] for k in kinds])[0]
     match kind:
         case "empty":
             return Empty()

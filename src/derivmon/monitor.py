@@ -151,10 +151,6 @@ class MonitorSession:
         self.max_height_seen = max_height_seen
         self.verdict = verdict
 
-    @property
-    def spec(self) -> Regex:
-        return self.monitor.spec
-
 
 def new_session(spec: Regex) -> MonitorSession:
     """A session of a fresh :class:`Monitor` of ``spec``."""

@@ -34,23 +34,19 @@ def shuffle_words(w1: Word, w2: Word) -> frozenset[Word]:
     return frozenset(first | second)
 
 
-def lang_up_to(
-    e: Regex,
-    max_len: int,
-    *,
-    max_len_guard: int = DEFAULT_MAX_LEN_GUARD,
-    cap: int = DEFAULT_CAP,
-) -> frozenset[Word]:
+def lang_up_to(e: Regex, max_len: int) -> frozenset[Word]:
     """All words of the language of ``e`` having length at most ``max_len``.
 
-    ``max_len`` must stay at or below ``max_len_guard``; shuffles and
-    stars blow up combinatorially, and a :class:`CapacityError` is
-    raised instead of hanging when an intermediate set outgrows ``cap``.
+    ``max_len`` must stay at or below ``DEFAULT_MAX_LEN_GUARD``; shuffles
+    and stars blow up combinatorially, and a :class:`CapacityError` is
+    raised instead of hanging when an intermediate set outgrows
+    ``DEFAULT_CAP``.  Both constants are read at call time.
     """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
-    if max_len > max_len_guard:
-        raise ValueError(f"max_len {max_len} exceeds guard {max_len_guard}")
+    guard, cap = DEFAULT_MAX_LEN_GUARD, DEFAULT_CAP
+    if max_len > guard:
+        raise ValueError(f"max_len {max_len} exceeds guard {guard}")
 
     memo: dict[Regex, frozenset[Word]] = {}
 
@@ -129,13 +125,7 @@ def lang_up_to(
     return langs[0]
 
 
-def is_member(
-    e: Regex,
-    word: Word,
-    *,
-    max_len_guard: int = DEFAULT_MAX_LEN_GUARD,
-    cap: int = DEFAULT_CAP,
-) -> bool:
+def is_member(e: Regex, word: Word) -> bool:
     """Whether ``word`` belongs to the language of ``e``, by enumeration."""
     word = tuple(word)
-    return word in lang_up_to(e, len(word), max_len_guard=max_len_guard, cap=cap)
+    return word in lang_up_to(e, len(word))

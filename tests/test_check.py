@@ -1,7 +1,12 @@
-from derivmon import derivative
-from derivmon.automaton import build_nfa
-from derivmon.check import agreement_problem
-from derivmon.syntax import Empty, parse
+import pytest
+from hypothesis import given, settings
+
+from derivmon import bounds, derivative, partial
+from derivmon.automaton import Nfa, build_nfa
+from derivmon.check import agreement_problem, bounds_problem
+from derivmon.corpus import GenConfig, file_descriptor_spec, gen_corpus
+from derivmon.syntax import Empty, alphabet, height, parse, size
+from strategies import regexes
 
 
 def test_agreement_problem_names_the_shortest_failing_word(monkeypatch):
@@ -14,3 +19,72 @@ def test_agreement_problem_names_the_shortest_failing_word(monkeypatch):
     assert agreement_problem(e, build_nfa(e), ("a", "b"), 2) == (
         "derivative disagrees with oracle on ('b',)"
     )
+
+
+# The checker that re-derived every state by every symbol of ``e`` before
+# it read the NFA's edges, kept as the reference.
+
+
+def reference_bounds_problem(e, nfa):
+    if not 0 <= bounds.height_increment_bound(e) <= 1:
+        return "height budget out of range"
+    if not 0 <= bounds.size_increment_bound(e) <= size(e) ** 2:
+        return "size budget out of range"
+    h_cap, s_cap = bounds.height_budget(e), bounds.size_budget(e)
+    symbols = sorted(alphabet(e))
+    for state in nfa.states:
+        if height(state) > h_cap:
+            return "height bound exceeded"
+        if size(state) > s_cap:
+            return "size bound exceeded"
+        for symbol in symbols:
+            if not all(r.holds for r in bounds.check_height_invariant(state, symbol)):
+                return "height invariant broken"
+            if not all(r.holds for r in bounds.check_size_invariant(state, symbol)):
+                return "size invariant broken"
+    return None
+
+
+_height, _size = bounds.height_increment_bound, bounds.size_increment_bound
+
+# The real budgets, then budgets forced low enough that the invariants,
+# and sometimes the ranges, break.
+BUDGETS = {
+    "unpatched": (_height, _size),
+    "size-1": (_height, lambda e: _size(e) - 1),
+    "height0": (lambda e: 0, _size),
+    "both": (lambda e: 0, lambda e: _size(e) - 1),
+    "size//2": (_height, lambda e: _size(e) // 2),
+}
+
+
+class TestBoundsProblem:
+    @pytest.mark.parametrize("budgets", BUDGETS.values(), ids=BUDGETS.keys())
+    @given(e=regexes(max_leaves=6))
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_the_rederiving_reference(self, budgets, e):
+        nfa = build_nfa(e)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "height_increment_bound", budgets[0])
+            mp.setattr(bounds, "size_increment_bound", budgets[1])
+            assert bounds_problem(e, nfa) == reference_bounds_problem(e, nfa)
+
+    def test_reads_the_edges_and_derives_nothing(self, monkeypatch):
+        corpus = gen_corpus(GenConfig(seed=0), 200) + [file_descriptor_spec(3)]
+        nfas = [build_nfa(e) for e in corpus]
+
+        def refuse(*args):
+            raise AssertionError("bounds_problem derived a step again")
+
+        monkeypatch.setattr(partial, "partial_derivatives", refuse)
+        monkeypatch.setattr(bounds, "check_height_invariant", refuse)
+        monkeypatch.setattr(bounds, "check_size_invariant", refuse)
+        for e, nfa in zip(corpus, nfas):
+            assert bounds_problem(e, nfa) is None
+
+    def test_an_edge_that_grows_size_plus_budget_breaks_the_invariant(self):
+        # Both states are within the caps of the first, and the edge keeps
+        # height + budget at 2 while size + budget goes from 5 to 7.
+        source, target = parse("a b c"), parse("(a + b) (c + a)")
+        nfa = Nfa((source, target), 0, ((0, "a", 1),), frozenset())
+        assert bounds_problem(source, nfa) == "size invariant broken"

@@ -39,20 +39,16 @@ class TestGenRegex:
         (e,) = gen_corpus(GenConfig(seed=11, max_size=1), 1)
         assert size(e) == 1
 
-    def test_weights_all_on_symbols(self):
-        weights = {"empty": 0, "eps": 0, "sym": 1, "cat": 0, "or": 0, "star": 0, "shuffle": 0}
-        for seed in range(20):
-            (e,) = gen_corpus(GenConfig(seed=seed, max_size=1, weights=weights), 1)
-            assert isinstance(e, Sym)
-
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError):
             gen_corpus(GenConfig(max_size=0), 1)
 
     @pytest.mark.parametrize("count", [0, 3])
     def test_invalid_budget_rejected_whatever_the_count(self, count):
-        with pytest.raises(ValueError):
-            gen_corpus(GenConfig(max_size=0), count)
+        bad = (GenConfig(max_size=0), GenConfig(alphabet_size=0), GenConfig(alphabet_size=-1))
+        for cfg in bad:
+            with pytest.raises(ValueError):
+                gen_corpus(cfg, count)
 
     def test_alphabet_size_controls_symbols(self):
         corpus = gen_corpus(GenConfig(seed=9, alphabet_size=2), 200)

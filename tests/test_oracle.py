@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from derivmon import oracle
 from derivmon.errors import CapacityError
 from derivmon.oracle import is_member, lang_up_to, shuffle_words
 from derivmon.syntax import Cat, Empty, Eps, Or, Shuffle, Star, Sym, parse
@@ -75,11 +76,11 @@ class TestLangUpTo:
     def test_guard_on_max_len(self):
         with pytest.raises(ValueError):
             lang_up_to(parse("a*"), 13)
-        assert lang_up_to(parse("a*"), 13, max_len_guard=13)
 
-    def test_capacity_cap(self):
+    def test_capacity_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "DEFAULT_CAP", 50)
         with pytest.raises(CapacityError):
-            lang_up_to(parse("(a + b)*"), 10, cap=50)
+            lang_up_to(parse("(a + b)*"), 10)
 
 
 # The recursive definition the explicit-stack enumeration replaced, kept
