@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .errors import CapacityError
 from .partial import DEFAULT_CLOSURE_CAP, partial_derivatives
-from .syntax import Regex, Symbol, alphabet, format_regex, has_eps
+from .syntax import Regex, Symbol, alphabet, format_regex
 
 
 @dataclass(frozen=True)
@@ -95,5 +95,5 @@ def build_nfa(e: Regex, *, cap: int = DEFAULT_CLOSURE_CAP) -> Nfa:
                     if len(states) > cap:
                         raise CapacityError(f"state space exceeded {cap} states")
                 transitions.append((source, symbol, index[target]))
-    finals = frozenset(i for i, state in enumerate(states) if has_eps(state))
+    finals = frozenset(i for i, state in enumerate(states) if state.nullable)
     return Nfa(tuple(states), 0, tuple(transitions), finals)

@@ -37,11 +37,6 @@ from .syntax import (
 )
 
 
-def height_geq(e0: Regex, e1: Regex) -> int:
-    """1 if height(e0) >= height(e1), else 0."""
-    return 1 if height(e0) >= height(e1) else 0
-
-
 def height_increment_bound(e: Regex) -> int:
     """Budget for future height growth; always 0 or 1.
 
@@ -58,12 +53,12 @@ def height_increment_bound(e: Regex) -> int:
             case Star():
                 return 1
             case Cat(left, right):
-                if height_geq(left, right):
+                if left.height >= right.height:
                     stack.append(left)
             case Shuffle(left, right):
-                if height_geq(left, right):
+                if left.height >= right.height:
                     stack.append(left)
-                if height_geq(right, left):
+                if right.height >= left.height:
                     stack.append(right)
             case Empty() | Eps() | Sym() | Or():
                 pass
@@ -105,12 +100,12 @@ def size_increment_bound(e: Regex) -> int:
 
 def height_budget(e: Regex) -> int:
     """Hard cap on the height of any derivative reachable from ``e``."""
-    return height(e) + 1
+    return e.height + 1
 
 
 def size_budget(e: Regex) -> int:
     """Hard cap on the size of any derivative reachable from ``e``."""
-    return size(e) + size(e) ** 2
+    return e.size + e.size**2
 
 
 @dataclass(frozen=True)
@@ -162,5 +157,5 @@ def star_chain_growth(n: int) -> tuple[int, int]:
     for _ in range(n - 1):
         e = Star(e)
     (derivative,) = partial_derivatives(e, "a")
-    predicted = size(e) + (n * n + n) // 2 - 1
-    return size(derivative), predicted
+    predicted = e.size + (n * n + n) // 2 - 1
+    return derivative.size, predicted

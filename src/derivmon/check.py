@@ -12,7 +12,7 @@ from typing import Sequence
 
 from . import bounds, derivative, oracle, partial
 from .automaton import Nfa
-from .syntax import Regex, Symbol, Word, height, size
+from .syntax import Regex, Symbol, Word
 
 
 def bounds_problem(e: Regex, nfa: Nfa) -> str | None:
@@ -27,18 +27,18 @@ def bounds_problem(e: Regex, nfa: Nfa) -> str | None:
     """
     if not 0 <= bounds.height_increment_bound(e) <= 1:
         return "height budget out of range"
-    if not 0 <= bounds.size_increment_bound(e) <= size(e) ** 2:
+    if not 0 <= bounds.size_increment_bound(e) <= e.size**2:
         return "size budget out of range"
     h_cap, s_cap = bounds.height_budget(e), bounds.size_budget(e)
     heights: list[int] = []  # height + height budget, per state
     sizes: list[int] = []  # size + size budget, per state
     for state in nfa.states:
-        if height(state) > h_cap:
+        if state.height > h_cap:
             return "height bound exceeded"
-        if size(state) > s_cap:
+        if state.size > s_cap:
             return "size bound exceeded"
-        heights.append(height(state) + bounds.height_increment_bound(state))
-        sizes.append(size(state) + bounds.size_increment_bound(state))
+        heights.append(state.height + bounds.height_increment_bound(state))
+        sizes.append(state.size + bounds.size_increment_bound(state))
     for source, _, target in nfa.transitions:
         if heights[target] > heights[source]:
             return "height invariant broken"

@@ -18,19 +18,18 @@ from . import bounds as bounds_mod
 from . import check, corpus, derivative, oracle, partial
 from .automaton import build_nfa
 from .errors import CapacityError
-from .monitor import MonitorSession, current_verdict, new_session, run_trace
+from .monitor import MonitorSession, Verdict, current_verdict, new_session, run_trace
 from .syntax import (
     ParseError,
     Regex,
     Word,
     alphabet,
     format_regex,
-    height,
     parse,
     parse_word,
-    size,
 )
 
+_VERDICT_EXIT = {Verdict.ACCEPTING: 0, Verdict.PENDING: 1, Verdict.VIOLATION: 2}
 _INPUT_ERROR = 3
 _INTERNAL_ERROR = 4
 
@@ -66,8 +65,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if not args.trace:
         if args.symbols:
             raise ValueError("word arguments require --trace")
-        print(f"height: {height(e)}")
-        print(f"size: {size(e)}")
+        print(f"height: {e.height}")
+        print(f"size: {e.size}")
         print(f"deltaMax: {bounds_mod.height_increment_bound(e)}")
         print(f"etaMax: {bounds_mod.size_increment_bound(e)}")
         return 0
@@ -79,7 +78,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     def print_rows(symbol: str, session: MonitorSession) -> None:
         for member in sorted(session.frontier, key=format_regex):
             print(
-                f"{session.events_seen}\t{symbol}\t{height(member)}\t{size(member)}"
+                f"{session.events_seen}\t{symbol}\t{member.height}\t{member.size}"
                 f"\t{bounds_mod.height_increment_bound(member)}"
                 f"\t{bounds_mod.size_increment_bound(member)}"
                 f"\t{h_budget}\t{s_budget}"
@@ -125,7 +124,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         if stats_file is not None:
             stats_file.write(json.dumps(stats.to_json_dict(), indent=2) + "\n")
     print(verdict.value)
-    return verdict.exit_code
+    return _VERDICT_EXIT[verdict]
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:

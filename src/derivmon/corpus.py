@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .syntax import (
+    EMPTY,
+    EPS,
     Cat,
     Empty,
     Eps,
@@ -21,17 +23,16 @@ from .syntax import (
     Sym,
     children,
     format_regex,
-    size,
 )
 
-_WEIGHTS = {
-    "empty": 1,
-    "eps": 2,
-    "sym": 8,
-    "cat": 5,
-    "or": 5,
-    "star": 2,  # damped so trees do not degenerate into star towers
-    "shuffle": 3,
+_WEIGHTS: dict[type[Regex], int] = {
+    Empty: 1,
+    Eps: 2,
+    Sym: 8,
+    Cat: 5,
+    Or: 5,
+    Star: 2,  # damped so trees do not degenerate into star towers
+    Shuffle: 3,
 }
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -63,32 +64,25 @@ def gen_corpus(cfg: GenConfig, count: int) -> list[Regex]:
 
 
 def _gen(cfg: GenConfig, rng: random.Random, budget: int) -> Regex:
-    kinds = ["empty", "eps", "sym"]
+    kinds: list[type[Regex]] = [Empty, Eps, Sym]
     if budget >= 2:
-        kinds.append("star")
+        kinds.append(Star)
     if budget >= 3:
-        kinds.extend(["cat", "or"])
+        kinds.extend([Cat, Or])
         if cfg.shuffle_enabled:
-            kinds.append("shuffle")
+            kinds.append(Shuffle)
     kind = rng.choices(kinds, weights=[_WEIGHTS[k] for k in kinds])[0]
-    match kind:
-        case "empty":
-            return Empty()
-        case "eps":
-            return Eps()
-        case "sym":
-            return Sym(rng.choice(cfg.symbols()))
-        case "star":
-            return Star(_gen(cfg, rng, budget - 1))
+    if kind is Empty:
+        return EMPTY
+    if kind is Eps:
+        return EPS
+    if kind is Sym:
+        return Sym(rng.choice(cfg.symbols()))
+    if kind is Star:
+        return Star(_gen(cfg, rng, budget - 1))
     left_budget = rng.randint(1, budget - 2)
     left = _gen(cfg, rng, left_budget)
-    right = _gen(cfg, rng, budget - 1 - left_budget)
-    match kind:
-        case "cat":
-            return Cat(left, right)
-        case "or":
-            return Or(left, right)
-    return Shuffle(left, right)
+    return kind(left, _gen(cfg, rng, budget - 1 - left_budget))
 
 
 def file_descriptor_spec(n: int) -> Regex:
@@ -120,8 +114,8 @@ def shrink_regex(e: Regex, predicate: Callable[[Regex], bool]) -> Regex:
                 replaced = list(kids)
                 replaced[i] = grandchild
                 candidates.append(type(current)(*replaced))
-        candidates = [c for c in set(candidates) if size(c) < size(current)]
-        candidates.sort(key=lambda c: (size(c), format_regex(c)))
+        candidates = [c for c in set(candidates) if c.size < current.size]
+        candidates.sort(key=lambda c: (c.size, format_regex(c)))
         for candidate in candidates:
             if predicate(candidate):
                 current = candidate

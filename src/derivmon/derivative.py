@@ -14,6 +14,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .syntax import (
+    EMPTY,
+    EPS,
     Cat,
     Empty,
     Eps,
@@ -26,11 +28,6 @@ from .syntax import (
     subterms,
 )
 
-# Shared constants: nodes are immutable, and raw derivatives are mostly
-# these two leaves.
-_EMPTY = Empty()
-_EPS = Eps()
-
 
 def derive(e: Regex, symbol: Symbol) -> Regex:
     """One-step derivative of ``e`` by ``symbol``."""
@@ -39,20 +36,20 @@ def derive(e: Regex, symbol: Symbol) -> Regex:
         kind = type(node)
         if kind is Cat:
             left, right = results.pop(), results.pop()
-            flag = _EPS if node.left.nullable else _EMPTY
+            flag = EPS if node.left.nullable else EMPTY
             out = Or(Cat(left, node.right), Cat(flag, right))
         elif kind is Or:
             left, right = results.pop(), results.pop()
             out = Or(left, right)
         elif kind is Sym:
-            out = _EPS if node.name == symbol else _EMPTY
+            out = EPS if node.name == symbol else EMPTY
         elif kind is Star:
             out = Cat(results.pop(), node)
         elif kind is Shuffle:
             left, right = results.pop(), results.pop()
             out = Or(Shuffle(left, node.right), Shuffle(node.left, right))
         elif kind is Empty or kind is Eps:
-            out = _EMPTY
+            out = EMPTY
         else:
             raise TypeError(f"not a Regex: {node!r}")
         results.append(out)

@@ -51,10 +51,6 @@ class Verdict(Enum):
     PENDING = "PENDING"
     VIOLATION = "VIOLATION"
 
-    @property
-    def exit_code(self) -> int:
-        return {"ACCEPTING": 0, "PENDING": 1, "VIOLATION": 2}[self.value]
-
 
 def _verdict(frontier: frozenset[Regex]) -> Verdict:
     if not frontier:

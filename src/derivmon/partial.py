@@ -25,21 +25,19 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .syntax import (
+    EPS,
     Cat,
-    Eps,
     Or,
     Regex,
     Shuffle,
     Star,
     Sym,
     Symbol,
-    has_eps,
     symbol_bit,
 )
 
 DEFAULT_CLOSURE_CAP = 1_000_000
 _NO_DERIVATIVES: frozenset[Regex] = frozenset()
-_EPS = Eps()  # shared: nodes are immutable
 
 
 def partial_derivatives(e: Regex, symbol: Symbol) -> frozenset[Regex]:
@@ -82,7 +80,7 @@ def partial_derivatives(e: Regex, symbol: Symbol) -> frozenset[Regex]:
     for node in reversed(needed):
         kind = type(node)
         if kind is Sym:
-            out = [_EPS] if node.name == symbol else []
+            out = [EPS] if node.name == symbol else []
         elif kind is Cat:
             left, right = node.left, node.right
             after = results.pop() if left.nullable and right.first & bit else []
@@ -123,7 +121,7 @@ def partial_derivatives_word(e: Regex, word: Sequence[Symbol]) -> frozenset[Rege
 
 def accepts(e: Regex, word: Sequence[Symbol]) -> bool:
     """Whether some partial derivative of ``e`` by ``word`` is nullable."""
-    return any(has_eps(d) for d in partial_derivatives_word(e, word))
+    return any(d.nullable for d in partial_derivatives_word(e, word))
 
 
 def closure(e: Regex, *, cap: int = DEFAULT_CLOSURE_CAP) -> frozenset[Regex]:

@@ -4,21 +4,23 @@ The expression language has seven constructors::
 
     e ::= 0 | eps | a | e e | e + e | e* | e || e
 
-where ``a`` ranges over identifier-like event symbols.  ``||`` is the
-shuffle (interleaving) operator.  Operator precedence, tightest first:
-star, juxtaposition (concatenation), ``+`` (union), ``||`` (shuffle);
-the binary operators associate to the left.
+where ``a`` ranges over identifier-like event symbols other than the
+reserved ``eps``.  ``||`` is the shuffle (interleaving) operator.
+Operator precedence, tightest first: star, juxtaposition
+(concatenation), ``+`` (union), ``||`` (shuffle); the binary operators
+associate to the left.
 
 Every node stores its nullability, size, height, structural hash and
-first-symbol mask when it is built, so :func:`has_eps`, :func:`size` and
-:func:`height` are attribute reads, hashing costs nothing per call, and
+first-symbol mask when it is built, so code reads ``.nullable``,
+``.size`` and ``.height`` directly, hashing costs nothing per call, and
 the partial-derivative step skips every subterm that cannot step by its
-symbol.  Nodes are immutable by convention and compared structurally.
-:func:`parse`, equality, :func:`subterms` and :func:`format_regex` use
-explicit stacks, so they work at any depth.  No simplification is ever
-applied by this package: derivatives are kept in raw syntactic form
-because the space bounds measured elsewhere are claims about exactly
-that raw form.
+symbol.  :data:`EMPTY` and :data:`EPS` are the two shared leaves that
+parsing and both derivatives build with.  Nodes are immutable by
+convention and compared structurally.  :func:`parse`, equality,
+:func:`subterms` and :func:`format_regex` use explicit stacks, so they
+work at any depth.  No simplification is ever applied by this package:
+derivatives are kept in raw syntactic form because the space bounds
+measured elsewhere are claims about exactly that raw form.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ class Sym(Regex):
     __match_args__ = ("name",)
 
     def __init__(self, name: Symbol) -> None:
-        if not _SYMBOL_RE.match(name):
+        if not _SYMBOL_RE.match(name) or name == "eps":
             raise ValueError(f"invalid symbol name: {name!r}")
         self.name = name
         self.nullable = False
@@ -197,6 +199,10 @@ class Shuffle(Regex):
         self.height = (left.height if left.height > right.height else right.height) + 1
         self._hash = hash((6, left._hash, right._hash))
         self.first = left.first | right.first
+
+
+EMPTY = Empty()  # shared leaves: raw derivatives are mostly these two
+EPS = Eps()
 
 
 def symbol_bit(name: Symbol) -> int:
@@ -380,9 +386,9 @@ def parse(text: str) -> Regex:
         if token == "(":
             operators.append(-1)
         elif token == "0":
-            operands.append(Empty())
+            operands.append(EMPTY)
         elif token == "eps":
-            operands.append(Eps())
+            operands.append(EPS)
         elif token[:1].isalpha():
             operands.append(Sym(token))
         else:

@@ -5,7 +5,6 @@ from derivmon.bounds import (
     check_height_invariant,
     check_size_invariant,
     height_budget,
-    height_geq,
     height_increment_bound,
     size_budget,
     size_increment_bound,
@@ -27,17 +26,6 @@ from derivmon.syntax import (
 from strategies import regexes, symbols
 
 
-class TestHeightGeq:
-    def test_taller_left(self):
-        assert height_geq(parse("a*"), parse("b")) == 1
-
-    def test_taller_right(self):
-        assert height_geq(parse("a"), parse("b*")) == 0
-
-    def test_equal_heights(self):
-        assert height_geq(parse("a"), parse("b")) == 1
-
-
 class TestHeightIncrementBound:
     def test_star(self):
         assert height_increment_bound(parse("a*")) == 1
@@ -47,6 +35,10 @@ class TestHeightIncrementBound:
 
     def test_concatenation_forwards_left_budget(self):
         assert height_increment_bound(parse("a* b*")) == 1
+
+    def test_left_side_is_forwarded_only_when_at_least_as_tall(self):
+        assert height_increment_bound(parse("a* b")) == 1
+        assert height_increment_bound(parse("a b*")) == 0
 
     def test_short_left_side_is_masked(self):
         assert height_increment_bound(parse("a* (b*)*")) == 0
@@ -86,11 +78,11 @@ def reference_height_increment_bound(e):
         case Star():
             return 1
         case Cat(left, right):
-            return height_geq(left, right) * reference_height_increment_bound(left)
+            return (left.height >= right.height) * reference_height_increment_bound(left)
         case Shuffle(left, right):
             return max(
-                height_geq(left, right) * reference_height_increment_bound(left),
-                height_geq(right, left) * reference_height_increment_bound(right),
+                (left.height >= right.height) * reference_height_increment_bound(left),
+                (right.height >= left.height) * reference_height_increment_bound(right),
             )
     raise TypeError(f"not a Regex: {e!r}")
 

@@ -140,6 +140,13 @@ class TestMonitor:
         assert code == 1
         assert out.strip() == "PENDING"
 
+    def test_eps_event_is_a_violation(self, tmp_path, capsys):
+        spec = self.write(tmp_path, "spec.txt", "a*")
+        trace = self.write(tmp_path, "trace.txt", "a eps")
+        code, out, _ = run_cli(capsys, "monitor", spec, trace)
+        assert code == 2
+        assert out.strip() == "VIOLATION"
+
     def test_stats_file(self, tmp_path, capsys):
         spec = self.write(tmp_path, "spec.txt", "a* b*")
         trace = self.write(tmp_path, "trace.txt", "a b")

@@ -176,6 +176,14 @@ class TestSymbols:
             Sym("")
         assert Sym("open_file").name == "open_file"
 
+    def test_eps_is_reserved(self):
+        # A symbol named eps would print as "eps", which parses as the empty word.
+        with pytest.raises(ValueError):
+            Sym("eps")
+        assert parse(format_regex(Eps())) == Eps()
+        # As an event it stays legal: no expression has it, so it is foreign.
+        assert parse_word("a eps") == ("a", "eps")
+
     def test_parse_word(self):
         assert parse_word("o1 a1\nc1") == ("o1", "a1", "c1")
         assert parse_word("") == ()
