@@ -190,12 +190,10 @@ class TestDeepSpecs:
         assert verdicts == [Verdict.PENDING, Verdict.PENDING, Verdict.VIOLATION]
 
     def test_complete_trace_of_a_long_spec_accepts(self):
-        # Every frontier of this trace is new, so the monitor keeps nothing.
         n = 1200
         verdict, stats = run_trace(parse(self.sequence(n)), self.sequence(n).split())
         assert verdict is Verdict.ACCEPTING
         assert stats.frontier_history == (1,) * (n + 1)
-        assert (stats.cache_hits, stats.cache_misses, stats.cache_kept) == (0, n, 0)
 
 
 def criterion_8_traces(count=60, seed=80908):
@@ -262,6 +260,11 @@ class TestMonitorCache:
             assert (1,) + tuple(len(s.frontier) for s in cached) == stats.frontier_history
             assert current_verdict(cached[-1]) is verdict
         assert shared.hits > shared.misses > 0
+
+    def test_a_trace_of_new_frontiers_keeps_nothing(self):
+        events = [f"e{i}" for i in range(1200)]
+        _, stats = run_trace(parse(" ".join(events)), events)
+        assert (stats.cache_hits, stats.cache_misses, stats.cache_kept) == (0, 1200, 0)
 
     def test_recurring_transitions_are_kept_from_their_second_sighting(self):
         # Frontiers {(a b)*} -a-> F1 -b-> F2 -a-> F1 -b-> F2: only (F1, b)
