@@ -4,7 +4,7 @@ Run with: python demos/01_derivatives.py
 """
 
 from derivmon import parse, format_regex, has_eps, height, size
-from derivmon.derivative import accepts, derive, derive_word
+from derivmon.derivative import derive, derive_word
 
 # Expressions are written with identifiers as event symbols, `eps` and `0`
 # as constants, juxtaposition for concatenation, `+` for union, postfix `*`,
@@ -28,7 +28,7 @@ print()
 # final expression still contains the empty word.
 for word in [("a", "b"), ("a", "c"), ("b",), ()]:
     result = derive_word(e, word)
-    print(f"after {' '.join(word) or '(empty)':8} -> accepted={accepts(e, word)!s:5}  {format_regex(result)}")
+    print(f"after {' '.join(word) or '(empty)':8} -> accepted={result.nullable!s:5}  {format_regex(result)}")
 print()
 
 # The price of totality: with no simplification, iterated derivatives keep

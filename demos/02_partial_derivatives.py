@@ -4,9 +4,10 @@ Run with: python demos/02_partial_derivatives.py
 """
 
 from derivmon import format_regex, parse
+from derivmon.automaton import build_nfa
 from derivmon.derivative import derive
 from derivmon.oracle import lang_up_to
-from derivmon.partial import closure, partial_derivatives
+from derivmon.partial import partial_derivatives
 
 def show(frontier):
     return "{" + ", ".join(sorted(map(format_regex, frontier))) + "}"
@@ -45,7 +46,7 @@ print("frontier languages == derivative language, checked up to length 3")
 print()
 
 # Unlike Brzozowski derivatives, only finitely many distinct expressions
-# are ever reachable.  This closure is the NFA state space of demo 04.
+# are ever reachable.  They are the states of the NFA of demo 04.
 for text in ("a*", "(a b)* c", "a* || b*"):
-    reachable = closure(parse(text))
+    reachable = build_nfa(parse(text)).states
     print(f"closure({text}) has {len(reachable)} members: {show(reachable)}")

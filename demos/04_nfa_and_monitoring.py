@@ -9,7 +9,7 @@ from derivmon import format_regex, parse, size
 from derivmon.automaton import build_nfa
 from derivmon.bounds import size_budget
 from derivmon.corpus import file_descriptor_spec
-from derivmon.monitor import Monitor, current_verdict, new_session, run_trace, step
+from derivmon.monitor import Monitor, new_session, run_trace, step
 from derivmon.oracle import shuffle_words
 
 # The reachable partial derivatives of an expression form an NFA: the
@@ -38,7 +38,7 @@ print("monitoring:", format_regex(spec))
 session = new_session(spec)
 for event in ("o1", "o2", "a2", "a1", "c1", "c2"):
     session = step(session, event)
-    print(f"  {event} -> {current_verdict(session).value:9}  frontier size {len(session.frontier)}")
+    print(f"  {event} -> {session.verdict.value:9}  frontier size {len(session.frontier)}")
 print()
 
 # Closing a file before accessing it empties the frontier: no continuation
@@ -61,7 +61,7 @@ for trace in traces * 3:
     session = monitor.new_session()
     for event in trace:
         session = step(session, event)
-    verdicts.add(current_verdict(session).value)
+    verdicts.add(session.verdict.value)
 print(f"{3 * len(traces)} valid traces through one Monitor: verdicts {sorted(verdicts)}")
 print(f"  hits {monitor.hits}, misses {monitor.misses}, nodes kept {monitor.kept}")
 

@@ -17,14 +17,12 @@ derivatives stay in the paper's raw, unsimplified form.  Nodes are
 immutable by convention (nothing assigns to a built node), the other
 values are immutable, and all functions are pure, so all of that is
 safe to share across threads; a monitor session is advanced by building
-a new session rather than mutating the old one.  Functions keep no
-state between calls, except :func:`.oracle.shuffle_words`, whose
-unbounded ``lru_cache`` is one process-wide table of immutable results
-that grows for the life of the process.  The one mutable object is
-:class:`.monitor.Monitor`, the transition table of one specification,
-which its caller creates and owns.  Sessions opened from one monitor
-write to its table as they step, so step them from one thread at a
-time, or give each thread its own monitor.
+a new session rather than mutating the old one.  No function keeps
+state between calls.  The one mutable object is :class:`.monitor.Monitor`,
+the transition table of one specification, which its caller creates
+and owns.  Sessions opened from one monitor write to its table as they
+step, so step them from one thread at a time, or give each thread its
+own monitor.
 """
 
 from .syntax import (

@@ -18,7 +18,7 @@ from . import bounds as bounds_mod
 from . import check, corpus, derivative, oracle, partial
 from .automaton import build_nfa
 from .errors import CapacityError
-from .monitor import MonitorSession, Verdict, current_verdict, new_session, run_trace
+from .monitor import MonitorSession, Verdict, new_session, run_trace
 from .syntax import (
     ParseError,
     Regex,
@@ -53,10 +53,10 @@ def _cmd_pderive(args: argparse.Namespace) -> int:
 
 
 def _cmd_closure(args: argparse.Namespace) -> int:
-    reachable = partial.closure(parse(args.expr))
-    for member in sorted(reachable, key=format_regex):
+    states = build_nfa(parse(args.expr)).states
+    for member in sorted(states, key=format_regex):
         print(format_regex(member))
-    print(f"total {len(reachable)}")
+    print(f"total {len(states)}")
     return 0
 
 
@@ -113,8 +113,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         trace_text = Path(args.trace_file).read_text()
 
     def print_step(event: str, session: MonitorSession) -> None:
-        verdict_here = current_verdict(session).value
-        print(f"{session.events_seen} {event} {verdict_here} {len(session.frontier)}")
+        print(f"{session.events_seen} {event} {session.verdict.value} {len(session.frontier)}")
 
     hook = print_step if args.step else None
     trace = parse_word(trace_text)
@@ -148,11 +147,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
     cfg = corpus.GenConfig(seed=args.seed, shuffle_enabled=args.shuffle)
     for e in corpus.gen_corpus(cfg, args.count):
-        found = problem(e)
-        if found is None:
+        if problem(e) is None:
             continue
         shrunk = corpus.shrink_regex(e, lambda x: problem(x) is not None)
-        print(f"FAIL: {found}")
+        print(f"FAIL: {problem(shrunk)}")
         print(f"counterexample: {format_regex(shrunk)}")
         return 1
     print(f"ok: {args.count} expressions checked (seed {args.seed})")
@@ -207,7 +205,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--shuffle", action="store_true", help="enable the shuffle operator")
-    p.add_argument("--max-word-len", type=int, default=3)
+    p.add_argument(
+        "--max-word-len",
+        type=int,
+        default=3,
+        help=f"check every word up to this length, at most {oracle.DEFAULT_MAX_LEN_GUARD}; each"
+        " added symbol costs about 9x (20 expressions: 3 s at 6, 30 s at 7; ROADMAP item 6)",
+    )
     p.set_defaults(func=_cmd_fuzz)
 
     return parser

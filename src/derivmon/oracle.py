@@ -9,8 +9,6 @@ the derivative engines.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import CapacityError
 from .syntax import Cat, Empty, Eps, Or, Regex, Shuffle, Star, Sym, Word
 
@@ -18,20 +16,20 @@ DEFAULT_MAX_LEN_GUARD = 12
 DEFAULT_CAP = 1_000_000
 
 
-@lru_cache(maxsize=None)
 def shuffle_words(w1: Word, w2: Word) -> frozenset[Word]:
     """All order-preserving interleavings of two words.
 
     The result has at most C(|w1|+|w2|, |w1|) elements, with equality
     when the two words share no symbol.
     """
-    if not w1:
-        return frozenset({w2})
-    if not w2:
-        return frozenset({w1})
-    first = {(w1[0],) + rest for rest in shuffle_words(w1[1:], w2)}
-    second = {(w2[0],) + rest for rest in shuffle_words(w1, w2[1:])}
-    return frozenset(first | second)
+    # ``row[j]`` holds the interleavings of ``w2[:j]`` with the part of ``w1`` read so far.
+    row = [frozenset({w2[:j]}) for j in range(len(w2) + 1)]
+    for a in w1:
+        built = [frozenset({u + (a,) for u in row[0]})]
+        for j, b in enumerate(w2, 1):
+            built.append(frozenset({u + (a,) for u in row[j]} | {u + (b,) for u in built[-1]}))
+        row = built
+    return row[-1]
 
 
 def lang_up_to(e: Regex, max_len: int) -> frozenset[Word]:

@@ -1,8 +1,8 @@
 """The golden example set and its replay helper.
 
 The worked examples collect small expressions with independently known
-derivatives, metrics, and verdicts; the test suites replay them as
-regressions.
+derivatives, metrics, and verdicts.  They are the one home of these
+hand-checked values; acceptance criterion 1 replays them as regressions.
 """
 
 from __future__ import annotations

@@ -23,7 +23,8 @@ from derivmon.check import agreement_problem, bounds_problem
 from derivmon.corpus import GenConfig, file_descriptor_spec, gen_corpus
 from derivmon.monitor import Verdict, run_trace
 from derivmon.oracle import is_member, lang_up_to, shuffle_words
-from derivmon.syntax import format_regex, has_eps, height, parse, size
+from derivmon.syntax import format_regex, size
+from golden import replay_entry, worked_examples
 
 ALPHABET = ("a", "b", "c")
 
@@ -51,58 +52,11 @@ def shuffle_free_corpus():
     return gen_corpus(cfg, 2000)
 
 
-def singleton_walk(e, trace):
-    """Frontier members along a trace that never branches."""
-    members = [e]
-    current = e
-    for symbol in trace:
-        (current,) = partial.partial_derivatives(current, symbol)
-        members.append(current)
-    return members
-
-
 def test_criterion_1_golden_examples():
     with criterion(1, "golden examples, exact equality"):
         started = time.perf_counter()
-
-        sum_of_products = parse("a b + a c")
-        assert derivative.derive(sum_of_products, "a") == parse("(eps b + 0 0) + (eps c + 0 0)")
-        assert derivative.derive(sum_of_products, "b") == parse("(0 b + 0 eps) + (0 c + 0 0)")
-        assert partial.partial_derivatives(sum_of_products, "a") == {
-            parse("eps b"),
-            parse("eps c"),
-        }
-
-        star_pair = parse("a* b*")
-        assert [height(m) for m in singleton_walk(star_pair, ("a", "b"))] == [2, 3, 2]
-
-        nested_stars = parse("((a*)*)*")
-        assert [size(m) for m in singleton_walk(nested_stars, ("a",))] == [4, 13]
-        late_growth = parse("a b**")
-        assert [size(m) for m in singleton_walk(late_growth, ("a", "b"))] == [5, 5, 8]
-
-        stuck_shuffle = parse("a0 || a1")
-        blocked = derivative.derive(stuck_shuffle, "a2")
-        assert blocked == parse("(0 || a1) + (a0 || 0)")
-        assert not has_eps(blocked)
-        assert partial.partial_derivatives(stuck_shuffle, "a2") == frozenset()
-
-        recurring = parse("(eps || a*) (b || a*)")
-        frontier = partial.partial_derivatives_word(recurring, ("a", "b", "a"))
-        assert parse("eps || eps a*") in frontier
-
-        shuffled_stars = parse("a* || b*")
-        (member,) = partial.partial_derivatives(shuffled_stars, "a")
-        assert (size(shuffled_stars), size(member)) == (5, 7)
-        assert (size_increment_bound(shuffled_stars), size_increment_bound(member)) == (4, 2)
-        assert size(member) + size_increment_bound(member) <= size(
-            shuffled_stars
-        ) + size_increment_bound(shuffled_stars)
-        # With max instead of sum for the shuffle case, both budgets come
-        # out as 2 and the invariant fails: 7 > 5 + 2 - 2.
-        weak_before = weak_after = 2
-        assert size(member) + weak_after > size(shuffled_stars) + weak_before
-
+        for entry in worked_examples():
+            replay_entry(entry)
         assert time.perf_counter() - started < 1.0
 
 

@@ -132,19 +132,6 @@ class TestDeterminism:
         assert 'label="a"' in dot
 
 
-class TestStateGrowthBench:
-    def test_exponential_state_counts(self):
-        assert [
-            len(build_nfa(file_descriptor_spec(n)).states) for n in (1, 2, 3)
-        ] == [4, 16, 64]
-
-    def test_states_stay_quadratically_small_while_counts_explode(self):
-        spec = file_descriptor_spec(3)
-        nfa = build_nfa(spec)
-        assert len(nfa.states) == 64
-        assert all(size(state) <= size_budget(spec) for state in nfa.states)
-
-
 def test_accepts_uses_indexed_transitions():
     nfa = Nfa(
         states=(parse("a"), parse("eps")),

@@ -8,7 +8,6 @@ from derivmon.bounds import (
     height_increment_bound,
     size_budget,
     size_increment_bound,
-    star_chain_growth,
 )
 from derivmon.partial import closure, partial_derivatives
 from derivmon.syntax import (
@@ -236,22 +235,6 @@ def test_max_based_shuffle_budget_breaks_the_invariant():
     assert size(d) + weak_after > size(e) + weak_before
     # The shipped definition repairs exactly this step.
     assert size(d) + size_increment_bound(d) <= size(e) + size_increment_bound(e)
-
-
-class TestStarChainGrowth:
-    def test_four_level_chain(self):
-        assert star_chain_growth(4) == (13, 13)
-
-    def test_single_star(self):
-        assert star_chain_growth(2) == (4, 4)
-
-    def test_double_star(self):
-        assert star_chain_growth(3) == (8, 8)
-
-    def test_formula_holds_up_to_eight(self):
-        for n in range(2, 9):
-            observed, predicted = star_chain_growth(n)
-            assert observed == predicted
 
 
 def test_bound_report_holds_property():

@@ -1,7 +1,9 @@
 import json
 
+from derivmon import check, derivative
+from derivmon.automaton import build_nfa
 from derivmon.cli import main
-from derivmon.syntax import Empty, parse, size
+from derivmon.syntax import Empty, alphabet, parse, size
 
 
 def run_cli(capsys, *argv):
@@ -12,9 +14,9 @@ def run_cli(capsys, *argv):
 
 class TestDerive:
     def test_word_derivative(self, capsys):
-        code, out, _ = run_cli(capsys, "derive", "a b + a c", "a")
+        code, out, _ = run_cli(capsys, "derive", "a b", "a", "b")
         assert code == 0
-        assert out.strip() == "eps b + 0 0 + (eps c + 0 0)"
+        assert out.strip() == "0 b + eps eps + (0 0 + 0 0)"
 
     def test_empty_word_prints_the_expression(self, capsys):
         code, out, _ = run_cli(capsys, "derive", "a* b*")
@@ -281,6 +283,24 @@ class TestFuzz:
         assert lines[0].startswith("FAIL: derivative disagrees with oracle")
         assert lines[1].startswith("counterexample: ")
         assert size(parse(lines[1].removeprefix("counterexample: "))) == 1
+
+    def test_reported_problem_is_the_counterexamples_own(self, capsys, monkeypatch):
+        # The first failing expression is "b b", whose shortest failing word
+        # is ('b', 'b'); the shrunk "b" fails on ('b',).
+        derive = derivative.derive
+        monkeypatch.setattr(
+            "derivmon.derivative.derive",
+            lambda e, symbol: Empty() if symbol == "b" else derive(e, symbol),
+        )
+        code, out, _ = run_cli(capsys, "fuzz", "--count", "40", "--seed", "5", "--shuffle")
+        assert code == 1
+        failure, counterexample = out.splitlines()
+        e = parse(counterexample.removeprefix("counterexample: "))
+        nfa = build_nfa(e)
+        problem = check.bounds_problem(e, nfa) or check.agreement_problem(
+            e, nfa, sorted(alphabet(e)), 3
+        )
+        assert failure == f"FAIL: {problem}"
 
     def test_budget_out_of_range_is_reported_and_shrunk(self, capsys, monkeypatch):
         monkeypatch.setattr("derivmon.bounds.size_increment_bound", lambda e: -1)

@@ -4,7 +4,6 @@ import pytest
 
 from derivmon.corpus import GenConfig, file_descriptor_spec, gen_corpus, shrink_regex
 from derivmon.syntax import Empty, Shuffle, Star, Sym, format_regex, parse, size, subterms
-from golden import replay_entry, worked_examples
 
 
 class TestGenRegex:
@@ -86,11 +85,6 @@ class TestFileDescriptorSpec:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             file_descriptor_spec(0)
-
-
-@pytest.mark.parametrize("entry", worked_examples(), ids=lambda entry: entry.label)
-def test_worked_examples(entry):
-    replay_entry(entry)
 
 
 class TestShrink:

@@ -8,15 +8,6 @@ from strategies import regexes, symbols, words
 
 
 class TestDerive:
-    def test_union_of_products_under_a(self):
-        assert derive(parse("a b + a c"), "a") == parse("(eps b + 0 0) + (eps c + 0 0)")
-
-    def test_union_of_products_under_b(self):
-        assert derive(parse("a b + a c"), "b") == parse("(0 b + 0 eps) + (0 c + 0 0)")
-
-    def test_shuffle_on_foreign_symbol(self):
-        assert derive(parse("a0 || a1"), "a2") == parse("(0 || a1) + (a0 || 0)")
-
     @given(regexes(), symbols())
     def test_total_on_every_shape(self, e, a):
         assert isinstance(derive(e, a), Regex)
