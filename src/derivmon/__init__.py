@@ -17,12 +17,16 @@ derivatives stay in the paper's raw, unsimplified form.  Nodes are
 immutable by convention (nothing assigns to a built node), the other
 values are immutable, and all functions are pure, so all of that is
 safe to share across threads; a monitor session is advanced by building
-a new session rather than mutating the old one.  No function keeps
-state between calls.  The one mutable object is :class:`.monitor.Monitor`,
-the transition table of one specification, which its caller creates
-and owns.  Sessions opened from one monitor write to its table as they
+a new session rather than mutating the old one.  No module-level
+function keeps state between calls.  The one mutable object is
+:class:`.monitor.Monitor`, the transition table of one specification,
+which its caller creates and owns.  Sessions opened from one monitor write to its table as they
 step, so step them from one thread at a time, or give each thread its
-own monitor.
+own monitor.  The walk that :func:`.derivative.deriver` returns is the
+one function that keeps state between its calls, and its caller creates
+and owns it too: it remembers every derivative it computed until it is
+dropped, and its results equal :func:`.derivative.derive`'s, so that
+state changes only its speed.
 """
 
 from .syntax import (

@@ -52,6 +52,7 @@ def agreement_problem(e: Regex, nfa: Nfa, symbols: Sequence[Symbol], max_len: in
     on every word over ``symbols`` up to ``max_len``; names the shortest
     failing word, the first in ``symbols`` order among equally short ones."""
     lang = oracle.lang_up_to(e, max_len)
+    derive = derivative.deriver()  # one walk for the whole trie
     problem, limit = None, max_len  # after a failure, only shorter words can replace it
     # Depth first, in symbols order.  An entry carries its parent's
     # derivative and frontier and extends them by its last symbol when popped.
@@ -61,7 +62,7 @@ def agreement_problem(e: Regex, nfa: Nfa, symbols: Sequence[Symbol], max_len: in
         if len(word) > limit:
             continue
         if word:
-            brz = derivative.derive(brz, word[-1])
+            brz = derive(brz, word[-1])
             frontier = partial.step_frontier(frontier, word[-1])
         member = word in lang
         if brz.nullable != member:

@@ -210,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         help=f"check every word up to this length, at most {oracle.DEFAULT_MAX_LEN_GUARD}; each"
-        " added symbol costs about 9x (20 expressions: 3 s at 6, 30 s at 7; ROADMAP item 6)",
+        " added symbol costs about 3x (20 expressions: 0.08 s at 6, 0.24 s at 7)",
     )
     p.set_defaults(func=_cmd_fuzz)
 

@@ -276,7 +276,7 @@ class TestFuzz:
         assert code == 0
 
     def test_disagreement_is_reported_and_shrunk(self, capsys, monkeypatch):
-        monkeypatch.setattr("derivmon.derivative.derive", lambda e, symbol: Empty())
+        monkeypatch.setattr("derivmon.derivative.deriver", lambda: lambda e, symbol: Empty())
         code, out, _ = run_cli(capsys, "fuzz", "--count", "25", "--seed", "5", "--shuffle")
         assert code == 1
         lines = out.splitlines()
@@ -287,10 +287,10 @@ class TestFuzz:
     def test_reported_problem_is_the_counterexamples_own(self, capsys, monkeypatch):
         # The first failing expression is "b b", whose shortest failing word
         # is ('b', 'b'); the shrunk "b" fails on ('b',).
-        derive = derivative.derive
+        deriver = derivative.deriver
         monkeypatch.setattr(
-            "derivmon.derivative.derive",
-            lambda e, symbol: Empty() if symbol == "b" else derive(e, symbol),
+            "derivmon.derivative.deriver",
+            lambda: lambda e, symbol: Empty() if symbol == "b" else deriver()(e, symbol),
         )
         code, out, _ = run_cli(capsys, "fuzz", "--count", "40", "--seed", "5", "--shuffle")
         assert code == 1

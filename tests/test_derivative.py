@@ -1,7 +1,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from derivmon.derivative import accepts, derive, derive_word
+from derivmon.corpus import GenConfig, gen_corpus
+from derivmon.derivative import accepts, derive, derive_word, deriver
 from derivmon.oracle import is_member, lang_up_to
 from derivmon.syntax import Cat, Empty, Eps, Or, Regex, Shuffle, Star, Sym, parse, size
 from strategies import regexes, symbols, words
@@ -68,6 +69,35 @@ class TestDeriveWithoutRecursion:
         assert derived.nullable
         # Level k adds a concatenation node and the k-level tower itself.
         assert size(derived) == 1 + sum(k + 2 for k in range(1, 10_001))
+
+
+class TestSharedWalk:
+    def test_one_walk_over_the_word_trie_matches_the_reference(self):
+        # The order of check.agreement_problem: depth first, in symbol order,
+        # each word derived from its parent's derivative when it is popped.
+        symbols = ("a", "b", "c")
+        for e in gen_corpus(GenConfig(seed=12, shuffle_enabled=True), 150):
+            step = deriver()
+            stack = [((), e, e)]
+            while stack:
+                word, shared, expected = stack.pop()
+                if word:
+                    shared = step(shared, word[-1])
+                    expected = reference_derive(expected, word[-1])
+                assert shared == expected, (e, word)
+                assert size(shared) == size(expected)
+                if len(word) < 3:
+                    stack.extend((word + (a,), shared, expected) for a in reversed(symbols))
+
+    def test_freed_nodes_never_hit_the_memo(self):
+        # Distinct nodes built and dropped one after another tend to reuse
+        # one address, so a memo that did not keep its keys alive would hand
+        # one node's derivative to the next.
+        step = deriver()
+        for i in range(2000):
+            left, right = ("a", "b") if i % 2 else ("b", "a")
+            e = Cat(Sym(left), Star(Sym(right)))
+            assert step(e, "a") == reference_derive(e, "a")
 
 
 class TestDeriveWord:
