@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from . import bounds, derivative, oracle, partial
+from . import automaton, bounds, derivative, oracle, partial
 from .automaton import Nfa
-from .syntax import Regex, Symbol, Word
+from .errors import CapacityError
+from .syntax import Regex, Symbol, Word, alphabet
 
 
 def bounds_problem(e: Regex, nfa: Nfa) -> str | None:
@@ -77,3 +78,14 @@ def agreement_problem(e: Regex, nfa: Nfa, symbols: Sequence[Symbol], max_len: in
             continue
         problem, limit = f"{found} with oracle on {word!r}", len(word) - 1
     return problem
+
+
+def problem(e: Regex, max_len: int) -> str | None:
+    """Every claim on ``e``, as ``derivmon fuzz`` checks it: the NFA of ``e``
+    within 100,000 states, then :func:`bounds_problem`, then
+    :func:`agreement_problem` on every word over ``alphabet(e)`` up to ``max_len``."""
+    try:
+        nfa = automaton.build_nfa(e, cap=100_000)
+    except CapacityError:
+        return "closure blow-up"
+    return bounds_problem(e, nfa) or agreement_problem(e, nfa, sorted(alphabet(e)), max_len)

@@ -4,13 +4,10 @@ import pytest
 from hypothesis import given, settings
 
 from derivmon.automaton import Nfa, build_nfa
-from derivmon.bounds import height_budget, size_budget
 from derivmon.corpus import file_descriptor_spec
 from derivmon.errors import CapacityError
-from derivmon.partial import accepts as accepts_by_partial
-from derivmon.partial import closure
-from derivmon.syntax import height, parse, size
-from strategies import regexes, words
+from derivmon.syntax import parse
+from strategies import regexes
 
 
 class TestBuildNfa:
@@ -54,18 +51,12 @@ class TestBuildNfa:
 
     @given(regexes(max_leaves=6))
     @settings(max_examples=60)
-    def test_states_equal_the_closure(self, e):
-        nfa = build_nfa(e)
-        assert frozenset(nfa.states) == closure(e)
-        assert len(set(nfa.states)) == len(nfa.states)
-
-    @given(regexes(max_leaves=6))
-    @settings(max_examples=60)
     def test_transitions_mirror_partial_derivatives_and_finals_nullability(self, e):
         from derivmon.partial import partial_derivatives
         from derivmon.syntax import alphabet, has_eps
 
         nfa = build_nfa(e)
+        assert len(set(nfa.states)) == len(nfa.states)
         listed = {}
         for source, symbol, target in nfa.transitions:
             listed.setdefault((source, symbol), set()).add(nfa.states[target])
@@ -74,18 +65,6 @@ class TestBuildNfa:
                 expected = partial_derivatives(state, symbol)
                 assert listed.get((index, symbol), set()) == set(expected)
             assert (index in nfa.finals) == has_eps(state)
-
-    @given(regexes(max_leaves=6))
-    @settings(max_examples=60)
-    def test_every_state_respects_the_space_budgets(self, e):
-        for state in build_nfa(e).states:
-            assert size(state) <= size_budget(e)
-            assert height(state) <= height_budget(e)
-
-    @given(regexes(max_leaves=8, shuffle=False))
-    @settings(max_examples=80)
-    def test_shuffle_free_state_count_is_linear(self, e):
-        assert len(build_nfa(e).states) <= size(e) + 1
 
 
 class TestNfaAccepts:
@@ -97,11 +76,6 @@ class TestNfaAccepts:
 
     def test_shuffle(self):
         assert build_nfa(parse("a0 || a1")).accepts(("a0", "a1"))
-
-    @given(regexes(max_leaves=6), words(max_len=4))
-    @settings(max_examples=80)
-    def test_agrees_with_partial_derivatives(self, e, w):
-        assert build_nfa(e).accepts(w) == accepts_by_partial(e, w)
 
 
 class TestDeterminism:

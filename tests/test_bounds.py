@@ -1,15 +1,15 @@
-from hypothesis import given, settings
+import operator
+
+from hypothesis import given
 
 from derivmon.bounds import (
     BoundReport,
     check_height_invariant,
     check_size_invariant,
-    height_budget,
     height_increment_bound,
-    size_budget,
     size_increment_bound,
 )
-from derivmon.partial import closure, partial_derivatives
+from derivmon.partial import partial_derivatives
 from derivmon.syntax import (
     Cat,
     Empty,
@@ -86,25 +86,29 @@ def reference_height_increment_bound(e):
     raise TypeError(f"not a Regex: {e!r}")
 
 
-def reference_size_increment_bound(e):
+def reference_size_increment_bound(e, combine=operator.add):
+    """``combine`` joins the two sides' budgets under a shuffle."""
     match e:
         case Empty() | Eps() | Sym():
             return 0
         case Cat(left, right):
             return max(
-                reference_size_increment_bound(left),
-                reference_size_increment_bound(right) - size(left) - 1,
+                reference_size_increment_bound(left, combine),
+                reference_size_increment_bound(right, combine) - size(left) - 1,
             )
         case Or(left, right):
             return max(
-                reference_size_increment_bound(left) - size(right) - 1,
-                reference_size_increment_bound(right) - size(left) - 1,
+                reference_size_increment_bound(left, combine) - size(right) - 1,
+                reference_size_increment_bound(right, combine) - size(left) - 1,
                 0,
             )
         case Star(body):
-            return size(body) + reference_size_increment_bound(body) + 1
+            return size(body) + reference_size_increment_bound(body, combine) + 1
         case Shuffle(left, right):
-            return reference_size_increment_bound(left) + reference_size_increment_bound(right)
+            return combine(
+                reference_size_increment_bound(left, combine),
+                reference_size_increment_bound(right, combine),
+            )
     raise TypeError(f"not a Regex: {e!r}")
 
 
@@ -157,77 +161,20 @@ class TestInvariantChecks:
         assert (report.bound_before, report.bound_after) == (4, 2)
         assert report.holds
 
-    @given(regexes(), symbols())
-    def test_one_step_height_bound(self, e, a):
-        for d in partial_derivatives(e, a):
-            assert height(d) <= height(e) + height_increment_bound(e)
-
-    @given(regexes(), symbols())
-    def test_height_invariant_on_random_steps(self, e, a):
-        assert all(report.holds for report in check_height_invariant(e, a))
-
-    @given(regexes(), symbols())
-    def test_size_invariant_on_random_steps(self, e, a):
-        assert all(report.holds for report in check_size_invariant(e, a))
-
     @given(regexes(shuffle=False), symbols())
     def test_shuffle_free_steps_have_zero_height_budget(self, e, a):
         for d in partial_derivatives(e, a):
             assert height_increment_bound(d) == 0
 
-    @given(regexes(), symbols())
-    def test_height_jump_forces_zero_budget(self, e, a):
-        for d in partial_derivatives(e, a):
-            if height(d) == height(e) + 1:
-                assert height_increment_bound(d) == 0
-
-    @given(regexes(), symbols())
-    def test_flat_height_never_raises_budget(self, e, a):
-        for d in partial_derivatives(e, a):
-            if height(d) == height(e):
-                assert height_increment_bound(d) <= height_increment_bound(e)
-
-    @given(regexes(max_leaves=6))
-    @settings(max_examples=60)
-    def test_multi_step_corollaries_over_reachable_states(self, e):
-        # Every walk step is an edge of the closure graph, so checking all
-        # reachable states covers derivatives by arbitrary words.
-        for state in closure(e):
-            assert height(state) <= height_budget(e)
-            assert size(state) <= size_budget(e)
-
-
-def _size_bound_with_max_shuffle(e):
-    # Deliberately wrong variant: combining shuffle budgets with max
-    # instead of sum under-counts repeatable growth on the other side.
-    match e:
-        case Empty() | Eps() | Sym():
-            return 0
-        case Cat(left, right):
-            return max(
-                _size_bound_with_max_shuffle(left),
-                _size_bound_with_max_shuffle(right) - size(left) - 1,
-            )
-        case Or(left, right):
-            return max(
-                _size_bound_with_max_shuffle(left) - size(right) - 1,
-                _size_bound_with_max_shuffle(right) - size(left) - 1,
-                0,
-            )
-        case Star(body):
-            return size(body) + _size_bound_with_max_shuffle(body) + 1
-        case Shuffle(left, right):
-            return max(
-                _size_bound_with_max_shuffle(left),
-                _size_bound_with_max_shuffle(right),
-            )
 
 
 def test_max_based_shuffle_budget_breaks_the_invariant():
+    # Combining shuffle budgets with max instead of sum under-counts
+    # repeatable growth on the other side.
     e = parse("a* || b*")
     (d,) = partial_derivatives(e, "a")
-    weak_before = _size_bound_with_max_shuffle(e)
-    weak_after = _size_bound_with_max_shuffle(d)
+    weak_before = reference_size_increment_bound(e, max)
+    weak_after = reference_size_increment_bound(d, max)
     assert (size(e), weak_before, size(d), weak_after) == (5, 2, 7, 2)
     # One-sided bound still holds...
     assert size(d) <= size(e) + weak_before

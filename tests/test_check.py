@@ -3,7 +3,7 @@ from hypothesis import given, settings
 
 from derivmon import bounds, derivative, partial
 from derivmon.automaton import Nfa, build_nfa
-from derivmon.check import agreement_problem, bounds_problem
+from derivmon.check import agreement_problem, bounds_problem, problem
 from derivmon.corpus import GenConfig, file_descriptor_spec, gen_corpus
 from derivmon.syntax import Empty, alphabet, height, parse, size
 from strategies import regexes
@@ -21,6 +21,12 @@ def test_agreement_problem_names_the_shortest_failing_word(monkeypatch):
     assert agreement_problem(e, build_nfa(e), ("a", "b"), 2) == (
         "derivative disagrees with oracle on ('b',)"
     )
+
+
+@given(regexes())
+@settings(max_examples=500, deadline=None)
+def test_random_expressions_have_no_problem(e):
+    assert problem(e, 4) is None
 
 
 # The checker that re-derived every state by every symbol of ``e`` before

@@ -1,9 +1,12 @@
 import json
+import sys
+
+import pytest
 
 from derivmon import check, derivative
-from derivmon.automaton import build_nfa
-from derivmon.cli import main
-from derivmon.syntax import Empty, alphabet, parse, size
+from derivmon.cli import main, run
+from derivmon.syntax import Empty, format_regex, parse, size
+from golden import worked_examples
 
 
 def run_cli(capsys, *argv):
@@ -38,16 +41,17 @@ class TestDerive:
         assert err == "error: 1:1: unexpected character 'é'\n"
 
 
-class TestPderive:
-    def test_frontier_sorted_one_per_line(self, capsys):
-        code, out, _ = run_cli(capsys, "pderive", "a b + a c", "a")
-        assert code == 0
-        assert out.splitlines() == ["eps b", "eps c"]
-
-    def test_empty_frontier_prints_nothing(self, capsys):
-        code, out, _ = run_cli(capsys, "pderive", "a0 || a1", "a2")
-        assert code == 0
-        assert out == ""
+def test_derive_and_pderive_print_the_golden_values(capsys):
+    # pderive prints the frontier sorted, one member per line, and nothing
+    # for an empty frontier.
+    for entry in worked_examples():
+        for symbol, rendered in entry.expect.get("derive", {}).items():
+            code, out, _ = run_cli(capsys, "derive", entry.text, symbol)
+            assert (code, out) == (0, format_regex(parse(rendered)) + "\n"), entry.label
+        for symbol, members in entry.expect.get("frontier", {}).items():
+            lines = sorted(format_regex(parse(member)) for member in members)
+            code, out, _ = run_cli(capsys, "pderive", entry.text, symbol)
+            assert (code, out) == (0, "".join(line + "\n" for line in lines)), entry.label
 
 
 class TestClosure:
@@ -134,6 +138,15 @@ class TestMonitor:
         assert lines[0] == "1 o1 PENDING 1"
         assert lines[1] == "2 c1 VIOLATION 0"
         assert lines[2] == "VIOLATION"
+
+    def test_console_script_exits_with_the_verdict_code(self, tmp_path, capsys, monkeypatch):
+        spec = self.write(tmp_path, "spec.txt", "a b")
+        trace = self.write(tmp_path, "trace.txt", "b")
+        monkeypatch.setattr(sys, "argv", ["derivmon", "monitor", spec, trace])
+        with pytest.raises(SystemExit) as exit_info:
+            run()
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == "VIOLATION\n"
 
     def test_pending_exit_code(self, tmp_path, capsys):
         spec = self.write(tmp_path, "spec.txt", "a b")
@@ -296,11 +309,7 @@ class TestFuzz:
         assert code == 1
         failure, counterexample = out.splitlines()
         e = parse(counterexample.removeprefix("counterexample: "))
-        nfa = build_nfa(e)
-        problem = check.bounds_problem(e, nfa) or check.agreement_problem(
-            e, nfa, sorted(alphabet(e)), 3
-        )
-        assert failure == f"FAIL: {problem}"
+        assert failure == f"FAIL: {check.problem(e, 3)}"
 
     def test_budget_out_of_range_is_reported_and_shrunk(self, capsys, monkeypatch):
         monkeypatch.setattr("derivmon.bounds.size_increment_bound", lambda e: -1)

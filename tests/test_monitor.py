@@ -159,17 +159,6 @@ class TestRunTrace:
         assert stats.max_size <= stats.size_budget == size_budget(e)
         assert stats.max_height <= stats.height_budget == height_budget(e)
 
-    @given(regexes(max_leaves=6), words(max_len=4))
-    @settings(max_examples=60)
-    def test_session_frontier_is_the_word_level_derivative(self, e, w):
-        from derivmon.partial import partial_derivatives_word
-
-        session = new_session(e)
-        for event in w:
-            session = step(session, event)
-        assert session.frontier == partial_derivatives_word(e, w)
-        assert session.events_seen == len(w)
-
 
 class TestDeepSpecs:
     """Sequence specs e0 e1 ... e(n-1) nest n deep; nothing may recurse on depth."""

@@ -157,7 +157,6 @@ class TestMetrics:
 class TestHasEps:
     def test_examples(self):
         assert has_eps(parse("a*")) is True
-        assert has_eps(parse("(0 || a1) + (a0 || 0)")) is False
         assert has_eps(parse("a")) is False
         assert has_eps(parse("0")) is False
         assert has_eps(parse("eps")) is True
