@@ -40,18 +40,35 @@ class TestDerive:
         assert code == 3
         assert err == "error: 1:1: unexpected character 'é'\n"
 
+    def test_golden_derivatives(self, capsys):
+        for entry in worked_examples():
+            for symbol, rendered in entry.expect.get("derive", {}).items():
+                code, out, _ = run_cli(capsys, "derive", entry.text, symbol)
+                assert (code, out) == (0, format_regex(parse(rendered)) + "\n"), entry.label
 
-def test_derive_and_pderive_print_the_golden_values(capsys):
-    # pderive prints the frontier sorted, one member per line, and nothing
-    # for an empty frontier.
-    for entry in worked_examples():
-        for symbol, rendered in entry.expect.get("derive", {}).items():
-            code, out, _ = run_cli(capsys, "derive", entry.text, symbol)
-            assert (code, out) == (0, format_regex(parse(rendered)) + "\n"), entry.label
-        for symbol, members in entry.expect.get("frontier", {}).items():
+
+def golden_frontiers(empty):
+    cases = [
+        (entry, symbol, members)
+        for entry in worked_examples()
+        for symbol, members in entry.expect.get("frontier", {}).items()
+        if (not members) == empty
+    ]
+    assert cases
+    return cases
+
+
+class TestPderive:
+    def test_frontier_sorted_one_per_line(self, capsys):
+        for entry, symbol, members in golden_frontiers(empty=False):
             lines = sorted(format_regex(parse(member)) for member in members)
             code, out, _ = run_cli(capsys, "pderive", entry.text, symbol)
             assert (code, out) == (0, "".join(line + "\n" for line in lines)), entry.label
+
+    def test_empty_frontier_prints_nothing(self, capsys):
+        for entry, symbol, _ in golden_frontiers(empty=True):
+            code, out, _ = run_cli(capsys, "pderive", entry.text, symbol)
+            assert (code, out) == (0, ""), entry.label
 
 
 class TestClosure:
