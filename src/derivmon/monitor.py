@@ -23,6 +23,11 @@ long sequence specification, therefore keeps nothing.  The expression
 nodes the table holds are capped at ``NODE_CAP``; past the cap, steps
 go uncached.  Neither rule can change a result, only its cost.
 
+The paper's budgets bound each member, and ``TraceStats.max_size`` and
+``max_height`` report the largest one.  The frontier as a whole is not
+bounded by them: ``(a* || a* || a*)*`` after ``a a a`` holds 7 members
+of total size 150, against a size budget of 90 and a largest member of 24.
+
 The verdict is three-valued.  An empty frontier means no correct trace
 extends the input: VIOLATION, and it is absorbing.  A nullable frontier
 member means the input itself is a correct trace: ACCEPTING.  Otherwise

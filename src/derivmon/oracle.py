@@ -121,9 +121,3 @@ def lang_up_to(e: Regex, max_len: int) -> frozenset[Word]:
         memo[node] = out
         langs.append(out)
     return langs[0]
-
-
-def is_member(e: Regex, word: Word) -> bool:
-    """Whether ``word`` belongs to the language of ``e``, by enumeration."""
-    word = tuple(word)
-    return word in lang_up_to(e, len(word))

@@ -127,9 +127,10 @@ def accepts(e: Regex, word: Sequence[Symbol]) -> bool:
 def closure(e: Regex, *, cap: int = DEFAULT_CLOSURE_CAP) -> frozenset[Regex]:
     """All expressions reachable from ``e`` by partial derivatives.
 
-    These are the states of the partial-derivative NFA.  The result is
-    finite, so exceeding ``cap`` signals a bug rather than expected
-    behavior.
+    These are the states of the partial-derivative NFA.  There are
+    finitely many, but exponentially many in the number of shuffled
+    operands (4**n for ``file_descriptor_spec(n)``, over the default
+    ``cap`` at n = 10), so ``cap`` bounds the search.
     """
     from .automaton import build_nfa  # automaton imports this module
 

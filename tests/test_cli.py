@@ -234,16 +234,6 @@ class TestMonitor:
         assert "internal error: RecursionError" in err
         assert out == ""
 
-    def test_long_sequence_spec_never_reads_as_a_wrong_verdict(self, tmp_path, capsys):
-        events = " ".join(f"e{i}" for i in range(600))
-        spec = self.write(tmp_path, "spec.txt", events)
-        trace = self.write(tmp_path, "trace.txt", events)
-        code, out, _ = run_cli(capsys, "monitor", spec, trace)
-        # ACCEPTING is the only correct verdict; a crash must exit 4, not 1 or 2.
-        assert code in (0, 4)
-        if code == 0:
-            assert out.strip() == "ACCEPTING"
-
     def test_long_sequence_spec_accepts_its_trace(self, tmp_path, capsys):
         events = " ".join(f"e{i}" for i in range(600))
         spec = self.write(tmp_path, "spec.txt", events)

@@ -7,10 +7,6 @@ from derivmon.syntax import Empty, Shuffle, Star, Sym, format_regex, parse, size
 
 
 class TestGenRegex:
-    def test_identical_seeds_identical_streams(self):
-        cfg = GenConfig(seed=42)
-        assert gen_corpus(cfg, 50) == gen_corpus(cfg, 50)
-
     def test_seeded_streams_are_pinned(self):
         # The acceptance corpora and the benchmark's check-corpus pool are
         # such streams, so changing one has to be a deliberate act.
@@ -55,10 +51,6 @@ class TestGenRegex:
     def test_single_node_budget_yields_a_leaf(self):
         (e,) = gen_corpus(GenConfig(seed=11, max_size=1), 1)
         assert size(e) == 1
-
-    def test_invalid_budget_rejected(self):
-        with pytest.raises(ValueError):
-            gen_corpus(GenConfig(max_size=0), 1)
 
     @pytest.mark.parametrize("count", [0, 3])
     def test_invalid_budget_rejected_whatever_the_count(self, count):

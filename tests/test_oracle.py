@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from derivmon import oracle
 from derivmon.errors import CapacityError
-from derivmon.oracle import is_member, lang_up_to, shuffle_words
+from derivmon.oracle import lang_up_to, shuffle_words
 from derivmon.syntax import Cat, Empty, Eps, Or, Shuffle, Star, Sym, parse
 from strategies import regexes, words
 
@@ -143,13 +143,3 @@ class TestLangWithoutRecursion:
         for _ in range(10_000):
             tower = Star(tower)
         assert lang_up_to(tower, 3) == {(), ("a",), ("a", "a"), ("a", "a", "a")}
-
-
-class TestIsMember:
-    def test_examples(self):
-        assert is_member(parse("a* b*"), w("a b"))
-        assert not is_member(parse("a"), ())
-        assert not is_member(parse("a0 || a1"), ("a2",))
-
-    def test_interleaving_membership(self):
-        assert is_member(parse("a0 || a1"), w("a1 a0"))

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from derivmon.oracle import is_member
 from derivmon.syntax import (
     Cat,
     Empty,
@@ -160,11 +159,6 @@ class TestHasEps:
         assert has_eps(parse("a")) is False
         assert has_eps(parse("0")) is False
         assert has_eps(parse("eps")) is True
-
-    @given(regexes(max_leaves=6))
-    def test_agrees_with_empty_word_membership(self, e):
-        assert type(has_eps(e)) is bool
-        assert has_eps(e) == is_member(e, ())
 
 
 class TestSymbols:
