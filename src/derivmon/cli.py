@@ -19,7 +19,7 @@ from . import check, corpus, derivative, oracle, partial
 from .automaton import build_nfa
 from .errors import CapacityError
 from .monitor import MonitorSession, Verdict, new_session, run_trace
-from .syntax import ParseError, Word, format_regex, parse, parse_word
+from .syntax import Word, format_regex, parse, parse_word
 
 _VERDICT_EXIT = {Verdict.ACCEPTING: 0, Verdict.PENDING: 1, Verdict.VIOLATION: 2}
 _INPUT_ERROR = 3
@@ -206,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValueError, CapacityError, OSError) as exc:
+    except (ValueError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _INPUT_ERROR
     except Exception as exc:

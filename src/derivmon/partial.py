@@ -12,6 +12,16 @@ constructors, no reassociation.  The set of all expressions reachable
 over all words (the closure) is finite, which is what makes the
 construction usable as an NFA state space.
 
+:func:`step_frontier` is the one walk.  It goes top down from every
+member of a frontier at once, and each subterm it visits carries its
+context: the wrappers between that subterm and its member.  A
+concatenation's left factor is wrapped in ``Cat(., right)``, a star's
+body in ``Cat(., star)``, and each side of a shuffle in the shuffle with
+the other side; a union adds no wrapper.  A symbol that matches steps to
+``eps``, and rebuilding ``eps`` outward through its context gives one
+member of the result.  :func:`partial_derivatives` is that walk from a
+single expression.
+
 The step walks only the subterms whose stored ``first`` mask has the
 symbol's bit.  That is exact: a subterm has a derivative by ``a``
 exactly when a first step can consume one of its ``a`` leaves (``a`` is
@@ -31,13 +41,11 @@ from .syntax import (
     Regex,
     Shuffle,
     Star,
-    Sym,
     Symbol,
     symbol_bit,
 )
 
 DEFAULT_CLOSURE_CAP = 1_000_000
-_NO_DERIVATIVES: frozenset[Regex] = frozenset()
 
 
 def partial_derivatives(e: Regex, symbol: Symbol) -> frozenset[Regex]:
@@ -46,68 +54,48 @@ def partial_derivatives(e: Regex, symbol: Symbol) -> frozenset[Regex]:
     ``0``, ``eps`` and mismatched symbols have no derivatives at all;
     a nullable left factor lets concatenation step into its right side.
     """
-    bit = symbol_bit(symbol)
-    if not e.first & bit:
-        return _NO_DERIVATIVES
-    # Collect the subterms that can step, each before its children: those
-    # whose ``first`` mask has the symbol's bit, and the right side of a
-    # concatenation only when its left side is nullable.  Every collected
-    # node has the bit, so at least one of its children is collected too.
-    needed: list[Regex] = []
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        needed.append(node)
-        kind = type(node)
-        if kind is Cat:
-            if node.left.first & bit:
-                stack.append(node.left)
-            if node.left.nullable and node.right.first & bit:
-                stack.append(node.right)
-        elif kind is Or or kind is Shuffle:
-            if node.left.first & bit:
-                stack.append(node.left)
-            if node.right.first & bit:
-                stack.append(node.right)
-        elif kind is Star:
-            stack.append(node.body)
-    # Each subtree is a contiguous run of ``needed``, so in reverse every
-    # node comes right after its collected children, whose results then
-    # sit on top of ``results``: the right side's above the left side's.
-    # A result is a list that may repeat a member; every wrapper maps
-    # members one to one, so one frozenset at the end deduplicates.
-    results: list[list[Regex]] = []
-    for node in reversed(needed):
-        kind = type(node)
-        if kind is Sym:
-            out = [EPS] if node.name == symbol else []
-        elif kind is Cat:
-            left, right = node.left, node.right
-            after = results.pop() if left.nullable and right.first & bit else []
-            steps = results.pop() if left.first & bit else []
-            out = [Cat(d, right) for d in steps] + after
-        elif kind is Or:
-            after = results.pop() if node.right.first & bit else []
-            steps = results.pop() if node.left.first & bit else []
-            out = steps + after
-        elif kind is Star:
-            out = [Cat(d, node) for d in results.pop()]
-        elif kind is Shuffle:
-            left, right = node.left, node.right
-            rights = results.pop() if right.first & bit else []
-            lefts = results.pop() if left.first & bit else []
-            out = [Shuffle(d, right) for d in lefts] + [Shuffle(left, d) for d in rights]
-        else:
-            raise TypeError(f"not a Regex: {node!r}")
-        results.append(out)
-    return frozenset(results[0])
+    return step_frontier((e,), symbol)
 
 
 def step_frontier(frontier: Iterable[Regex], symbol: Symbol) -> frozenset[Regex]:
     """Set-lifted single step: the union of members' partial derivatives."""
+    bit = symbol_bit(symbol)
     out: set[Regex] = set()
+    # A context is None at a member, else (wrapper, left, right, outer):
+    # ``wrapper(left, right)`` with the stepped subterm in place of the
+    # side that is None, inside the wrappers of ``outer``.
+    stack: list[tuple[Regex, tuple | None]] = []
     for e in frontier:
-        out |= partial_derivatives(e, symbol)
+        if e.first & bit:
+            stack.append((e, None))
+    while stack:
+        node, context = stack.pop()
+        kind = type(node)
+        if kind is Cat:
+            left, right = node.left, node.right
+            if left.first & bit:
+                stack.append((left, (Cat, None, right, context)))
+            if left.nullable and right.first & bit:
+                stack.append((right, context))
+        elif kind is Or:
+            if node.left.first & bit:
+                stack.append((node.left, context))
+            if node.right.first & bit:
+                stack.append((node.right, context))
+        elif kind is Star:
+            stack.append((node.body, (Cat, None, node, context)))
+        elif kind is Shuffle:
+            left, right = node.left, node.right
+            if left.first & bit:
+                stack.append((left, (Shuffle, None, right, context)))
+            if right.first & bit:
+                stack.append((right, (Shuffle, left, None, context)))
+        elif node.name == symbol:  # a Sym: 0 and eps have no bit, so none is pushed
+            d: Regex = EPS
+            while context is not None:
+                wrapper, left, right, context = context
+                d = wrapper(d, right) if left is None else wrapper(left, d)
+            out.add(d)
     return frozenset(out)
 
 
@@ -115,6 +103,8 @@ def partial_derivatives_word(e: Regex, word: Sequence[Symbol]) -> frozenset[Rege
     """All partial derivatives of ``e`` by ``word``; the empty word gives {e}."""
     frontier: frozenset[Regex] = frozenset({e})
     for symbol in word:
+        if not frontier:  # no step leaves the empty frontier
+            break
         frontier = step_frontier(frontier, symbol)
     return frontier
 

@@ -3,12 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from derivmon import partial, syntax
+from derivmon.bounds import star_chain_growth
 from derivmon.errors import CapacityError
 from derivmon.partial import (
     accepts,
     closure,
     partial_derivatives,
     partial_derivatives_word,
+    step_frontier,
 )
 from derivmon.syntax import Cat, Empty, Eps, Or, Shuffle, Star, Sym, format_regex, parse
 from strategies import DEFAULT_ALPHABET, regexes, symbols, words
@@ -63,10 +65,13 @@ class TestFirstMaskPruning:
         # Events reach the monitor unvalidated; this one cannot be UTF-8 encoded.
         assert partial_derivatives(parse("a* || b"), "\udc80") == frozenset()
 
-    @given(regexes(), steps)
+    @given(regexes(), st.lists(regexes(), min_size=1, max_size=3), steps)
     @settings(max_examples=200)
-    def test_equals_the_unpruned_step(self, e, a):
+    def test_equals_the_unpruned_step(self, e, frontier, a):
         assert partial_derivatives(e, a) == reference_partial_derivatives(e, a)
+        assert step_frontier(frontier, a) == frozenset().union(
+            *(reference_partial_derivatives(m, a) for m in frontier)
+        )
 
     @given(regexes(), steps)
     @settings(max_examples=200)
@@ -83,6 +88,22 @@ class TestFirstMaskPruning:
             rebuilt = parse(format_regex(e))  # nodes built under the patch
             assert rebuilt.first == (1 if reference_first_set(e) else 0)
             assert partial_derivatives(rebuilt, a) == expected
+
+
+class TestDeepShapes:
+    """Shapes nested 10^4 deep step without Python recursion."""
+
+    def test_star_tower(self):
+        observed, predicted = star_chain_growth(10_000)
+        assert observed == predicted
+
+    def test_shuffle_chain(self):
+        # About 1 in 64 of the other symbols shares a0's bit and is walked too.
+        names = [f"a{i}" for i in range(10_000)]
+        chain = parse(" || ".join(names))
+        (d,) = step_frontier((chain,), "a0")
+        assert d.size == chain.size
+        assert format_regex(d) == " || ".join(["eps"] + names[1:])
 
 
 class TestPartialDerivativesWord:
