@@ -2,17 +2,19 @@
 
 Each check returns the first broken property as text, or None, and its
 docstring states the order it checks in, which decides the text when
-more than one property is broken.  Engines are looked up through their
-modules at call time, so a test can replace one and watch the check fail.
+more than one property is broken.  Every engine, the monitor included,
+is looked up through its module at call time, so a test can replace one
+and watch the check fail.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from . import automaton, bounds, derivative, oracle, partial
+from . import automaton, bounds, derivative, monitor, oracle
 from .automaton import Nfa
 from .errors import CapacityError
+from .monitor import MonitorSession, Verdict
 from .syntax import Regex, Symbol, Word, alphabet
 
 
@@ -49,32 +51,39 @@ def bounds_problem(e: Regex, nfa: Nfa) -> str | None:
 
 
 def agreement_problem(e: Regex, nfa: Nfa, symbols: Sequence[Symbol], max_len: int) -> str | None:
-    """The oracle against the Brzozowski derivative, the frontier and ``nfa``
-    on every word over ``symbols`` up to ``max_len``; names the shortest
-    failing word, the first in ``symbols`` order among equally short ones."""
+    """The oracle against the Brzozowski derivative, a session of one shared
+    ``monitor.Monitor`` (its frontier, verdict, and largest size and height
+    within the budgets of ``e``) and ``nfa`` on every word over ``symbols`` up to
+    ``max_len``; names the shortest failing word, the first in ``symbols``
+    order among equally short ones."""
     lang = oracle.lang_up_to(e, max_len)
     derive = derivative.deriver()  # one walk for the whole trie
+    s_cap, h_cap = bounds.size_budget(e), bounds.height_budget(e)
     problem, limit = None, max_len  # after a failure, only shorter words can replace it
-    # Depth first, in symbols order.  An entry carries its parent's
-    # derivative and frontier and extends them by its last symbol when popped.
-    stack: list[tuple[Word, Regex, frozenset[Regex]]] = [((), e, frozenset({e}))]
+    # Depth first, in symbols order: a popped entry steps its parent's derivative and session.
+    stack: list[tuple[Word, Regex, MonitorSession]] = [((), e, monitor.Monitor(e).new_session())]
     while stack:
-        word, brz, frontier = stack.pop()
+        word, brz, parent = stack.pop()
         if len(word) > limit:
             continue
-        if word:
-            brz = derive(brz, word[-1])
-            frontier = partial.step_frontier(frontier, word[-1])
-        member = word in lang
+        session = monitor.step(parent, word[-1]) if word else parent
+        brz = derive(brz, word[-1]) if word else brz
+        frontier, member = session.frontier, word in lang
         if brz.nullable != member:
             found = "derivative disagrees"
         elif any(m.nullable for m in frontier) != member:
             found = "partial derivatives disagree"
+        elif (session.verdict, session.max_size_seen, session.max_height_seen) != (
+            Verdict.ACCEPTING if member else Verdict.PENDING if frontier else Verdict.VIOLATION,
+            max([parent.max_size_seen] + [m.size for m in frontier]),
+            max([parent.max_height_seen] + [m.height for m in frontier]),
+        ) or session.max_size_seen > s_cap or session.max_height_seen > h_cap:
+            found = "monitor disagrees"
         elif nfa.accepts(word) != member:
             found = "NFA disagrees"
         else:
             if len(word) < limit:
-                stack.extend((word + (symbol,), brz, frontier) for symbol in reversed(symbols))
+                stack.extend((word + (symbol,), brz, session) for symbol in reversed(symbols))
             continue
         problem, limit = f"{found} with oracle on {word!r}", len(word) - 1
     return problem

@@ -195,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=3,
         help=f"check every word up to this length, at most {oracle.DEFAULT_MAX_LEN_GUARD}; each"
         " added symbol costs about 3x in time and memory (20 expressions with --shuffle:"
-        " 0.34 s and 30 MiB at 6, 4.2 s and 205 MiB at 8)",
+        " 0.40 s and 30 MiB at 6, 4.8 s and 206 MiB at 8)",
     )
     p.set_defaults(func=_cmd_fuzz)
 

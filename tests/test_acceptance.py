@@ -61,7 +61,7 @@ def test_criterion_1_golden_examples():
 
 
 def test_criterion_2_three_way_agreement(shuffle_corpus):
-    with criterion(2, "oracle/derivative/partial/NFA agree on 2000 expressions"):
+    with criterion(2, "oracle/derivative/monitor/NFA agree, within budgets, on 2000 expressions"):
         problems = [
             (format_regex(e), problem)
             for e in shuffle_corpus

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from derivmon import bounds, derivative, partial
+from derivmon import bounds, derivative, monitor, partial
 from derivmon.automaton import Nfa, build_nfa
 from derivmon.check import agreement_problem, bounds_problem, problem
 from derivmon.corpus import GenConfig, file_descriptor_spec, gen_corpus
@@ -20,6 +20,33 @@ def test_agreement_problem_names_the_shortest_failing_word(monkeypatch):
     # Depth first, ('a', 'b') fails before ('b',) is reached.
     assert agreement_problem(e, build_nfa(e), ("a", "b"), 2) == (
         "derivative disagrees with oracle on ('b',)"
+    )
+
+
+def test_agreement_problem_names_the_shortest_word_a_stale_verdict_breaks(monkeypatch):
+    step = monitor.step
+
+    def stale_on_hit(session, event):
+        hits = session.monitor.hits
+        after = step(session, event)
+        if session.monitor.hits == hits:
+            return after
+        return monitor.MonitorSession(
+            after.monitor,
+            after.frontier,
+            after.events_seen,
+            after.max_size_seen,
+            after.max_height_seen,
+            session.verdict,
+        )
+
+    monkeypatch.setattr(monitor, "step", stale_on_hit)
+    e = parse("a* b*")
+    # The step from {eps b*} by a is stored on its second sighting, at
+    # ('a', 'b', 'a'); ('a', 'b', 'b', 'a') is the first hit to keep the
+    # ACCEPTING verdict, and ('b', 'a') the shortest.
+    assert agreement_problem(e, build_nfa(e), ("a", "b"), 4) == (
+        "monitor disagrees with oracle on ('b', 'a')"
     )
 
 
