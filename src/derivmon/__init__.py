@@ -22,11 +22,11 @@ function keeps state between calls.  The one mutable object is
 :class:`.monitor.Monitor`, the transition table of one specification,
 which its caller creates and owns.  Sessions opened from one monitor write to its table as they
 step, so step them from one thread at a time, or give each thread its
-own monitor.  The walk that :func:`.derivative.deriver` returns is the
-one function that keeps state between its calls, and its caller creates
-and owns it too: it remembers every derivative it computed until it is
-dropped, and its results equal :func:`.derivative.derive`'s, so that
-state changes only its speed.
+own monitor.  The walk that :func:`.derivative.deriver` returns and the
+builder that :func:`.syntax.builder` returns keep state between calls,
+and their callers own them too: until dropped, they remember what they
+derived or built, and their results equal :func:`.derivative.derive`'s
+and the constructors', so that state changes only speed and identity.
 """
 
 from .syntax import (

@@ -2,13 +2,15 @@
 
 States are the expressions reachable from the initial one, identified
 up to structural equality; a state is final when it is nullable.  The
-number of states can explode (interleaving n independent three-event
-sessions needs 4^n of them) while each individual state stays small,
-which is exactly the trade-off the bounds module quantifies.
+number of states can explode (n interleaved three-event sessions need
+4^n) while each state stays small: the trade-off ``bounds`` quantifies.
 
 Construction is breadth-first with successors ordered by their rendered
 text, so state numbering, transition order, and every serialization are
-stable across runs.
+stable across runs.  A build steps through one :func:`.syntax.builder`,
+so a successor equal to a known state is almost always that state's
+object, found by identity.  It skips a symbol whose bit, computed once
+per build, is not in the state's ``first`` mask: that step is empty.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 
 from .errors import CapacityError
 from .partial import DEFAULT_CLOSURE_CAP, partial_derivatives
-from .syntax import Regex, Symbol, alphabet, format_regex
+from .syntax import Regex, Symbol, alphabet, builder, format_regex, symbol_bit
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,8 @@ class Nfa:
 
 def build_nfa(e: Regex, *, cap: int = DEFAULT_CLOSURE_CAP) -> Nfa:
     """Build the NFA whose states are the reachable partial derivatives."""
-    symbols = sorted(alphabet(e))
+    symbols = [(symbol, symbol_bit(symbol)) for symbol in sorted(alphabet(e))]
+    make = builder()
     index: dict[Regex, int] = {e: 0}
     states: list[Regex] = [e]
     transitions: list[tuple[int, Symbol, int]] = []
@@ -83,8 +86,8 @@ def build_nfa(e: Regex, *, cap: int = DEFAULT_CLOSURE_CAP) -> Nfa:
     while queue:
         state = queue.popleft()
         source = index[state]
-        for symbol in symbols:
-            targets = partial_derivatives(state, symbol)
+        for symbol, bit in symbols:
+            targets = partial_derivatives(state, symbol, make) if state.first & bit else ()
             if len(targets) > 1:
                 targets = sorted(targets, key=format_regex)
             for target in targets:

@@ -10,8 +10,8 @@ engine is the space-friendly alternative.
 
 A raw derivative keeps the untouched subtrees of its input, so the next
 step meets them again.  :func:`deriver` returns one walk that derives
-each node by each symbol once and builds each ``Cat``/``Or``/``Shuffle``
-of the same two children once, sharing both results by identity.  Its
+each node by each symbol once and builds its nodes through its own
+:func:`.syntax.builder`, sharing both results by identity.  Its
 trees are structurally equal to the unshared ones, with the same size
 and height: the form stays raw.  :func:`derive_word` runs one walk per
 word, and ``derive`` one walk per step.
@@ -33,23 +33,17 @@ from .syntax import (
     Star,
     Sym,
     Symbol,
+    builder,
 )
 
 
 def deriver() -> Callable[[Regex, Symbol], Regex]:
     """A fresh walk: a function equal to :func:`derive` that keeps, while its
     caller holds it, every derivative it computed and every node it built.
-    Each table entry holds the nodes whose ``id`` keys it, so no key can
+    Each memo entry holds the node whose ``id`` keys it, so no key can
     outlive its node and come back for another."""
     memos: dict[Symbol, dict[int, tuple[Regex, Regex]]] = {}  # id(node) -> (node, derivative)
-    built: dict[tuple[type, int, int], Regex] = {}  # (kind, id(left), id(right)) -> node
-
-    def make(kind: type, left: Regex, right: Regex) -> Regex:
-        key = (kind, id(left), id(right))
-        node = built.get(key)
-        if node is None:
-            node = built[key] = kind(left, right)
-        return node
+    make = builder()
 
     def derive(e: Regex, symbol: Symbol) -> Regex:
         memo = memos.setdefault(symbol, {})

@@ -8,9 +8,11 @@ monitoring: once no step is possible, no extension of the input can be
 accepted.
 
 Members are deduplicated by structural equality only; no smart
-constructors, no reassociation.  The set of all expressions reachable
-over all words (the closure) is finite, which is what makes the
-construction usable as an NFA state space.
+constructors, no reassociation.  The closure (every expression reachable
+over all words) is finite, so it can be an NFA state space.  Given a
+``make`` from :func:`.syntax.builder`, a step builds its wrappers through
+it, so :func:`.automaton.build_nfa` finds equal states by identity; the
+monitor passes none, as its frontiers on long specs never recur.
 
 :func:`step_frontier` is the one walk.  It goes top down from every
 member of a frontier at once, and each subterm it visits carries its
@@ -32,7 +34,7 @@ nothing, never a member, so the result is the paper's raw relation.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .syntax import (
     EPS,
@@ -48,16 +50,18 @@ from .syntax import (
 DEFAULT_CLOSURE_CAP = 1_000_000
 
 
-def partial_derivatives(e: Regex, symbol: Symbol) -> frozenset[Regex]:
+def partial_derivatives(e: Regex, symbol: Symbol, make: Callable | None = None) -> frozenset[Regex]:
     """The set of one-step partial derivatives of ``e`` by ``symbol``.
 
     ``0``, ``eps`` and mismatched symbols have no derivatives at all;
     a nullable left factor lets concatenation step into its right side.
     """
-    return step_frontier((e,), symbol)
+    return step_frontier((e,), symbol, make)
 
 
-def step_frontier(frontier: Iterable[Regex], symbol: Symbol) -> frozenset[Regex]:
+def step_frontier(
+    frontier: Iterable[Regex], symbol: Symbol, make: Callable | None = None
+) -> frozenset[Regex]:
     """Set-lifted single step: the union of members' partial derivatives."""
     bit = symbol_bit(symbol)
     out: set[Regex] = set()
@@ -92,9 +96,14 @@ def step_frontier(frontier: Iterable[Regex], symbol: Symbol) -> frozenset[Regex]
                 stack.append((right, (Shuffle, left, None, context)))
         elif node.name == symbol:  # a Sym: 0 and eps have no bit, so none is pushed
             d: Regex = EPS
-            while context is not None:
-                wrapper, left, right, context = context
-                d = wrapper(d, right) if left is None else wrapper(left, d)
+            if make is None:
+                while context is not None:
+                    wrapper, left, right, context = context
+                    d = wrapper(d, right) if left is None else wrapper(left, d)
+            else:
+                while context is not None:
+                    wrapper, left, right, context = context
+                    d = make(wrapper, d, right) if left is None else make(wrapper, left, d)
             out.add(d)
     return frozenset(out)
 

@@ -15,18 +15,19 @@ first-symbol mask when it is built, so code reads ``.nullable``,
 ``.size`` and ``.height`` directly, hashing costs nothing per call, and
 the partial-derivative step skips every subterm that cannot step by its
 symbol.  :data:`EMPTY` and :data:`EPS` are the two shared leaves that
-parsing and both derivatives build with.  Nodes are immutable by
+parsing and both derivatives build with, and :func:`builder` gives each
+caller its own hash-consing constructor.  Nodes are immutable by
 convention and compared structurally.  :func:`parse`, equality,
 :func:`subterms` and :func:`format_regex` use explicit stacks, so they
 work at any depth.  No simplification is ever applied by this package:
-derivatives are kept in raw syntactic form because the space bounds
-measured elsewhere are claims about exactly that raw form.
+derivatives are kept in raw form, the form the space bounds are about.
 """
 
 from __future__ import annotations
 
 import re
 import zlib
+from typing import Callable
 
 Symbol = str
 Word = tuple[Symbol, ...]
@@ -210,6 +211,19 @@ def symbol_bit(name: Symbol) -> int:
     it is the same in every process (``hash`` of a str is salted).  Any str
     has a bit, even one no expression can contain, such as a lone surrogate."""
     return 1 << (zlib.crc32(name.encode("utf-8", "surrogatepass")) & 63)
+
+
+def builder() -> Callable[[type, Regex, Regex], Regex]:
+    """A fresh ``make(kind, left, right)`` building one ``Cat``/``Or``/``Shuffle`` per
+    kind and two child objects; each entry holds the children whose ids key it."""
+    built: dict[tuple[type, int, int], Regex] = {}  # (kind, id(left), id(right)) -> node
+
+    def make(kind: type, left: Regex, right: Regex) -> Regex:
+        key = (kind, id(left), id(right))
+        node = built.get(key)
+        return built.setdefault(key, kind(left, right)) if node is None else node
+
+    return make
 
 
 def has_eps(e: Regex) -> bool:

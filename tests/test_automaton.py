@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from derivmon.automaton import Nfa, build_nfa
 from derivmon.corpus import file_descriptor_spec
 from derivmon.errors import CapacityError
-from derivmon.syntax import parse
+from derivmon.syntax import parse, subterms
 from strategies import regexes
 
 
@@ -43,6 +43,12 @@ class TestBuildNfa:
             + [[1, "b", 5], [2, "c", 5], [3, "d", 5], [4, "e", 5]]
             + [[5, "a", 1], [5, "a", 2], [5, "a", 3], [5, "a", 4]],
         }
+
+    def test_equal_subterms_of_states_are_one_object(self):
+        # One node builder per build: 369 distinct subterms, 612 objects without it.
+        nfa = build_nfa(file_descriptor_spec(4))
+        nodes = {id(node): node for state in nfa.states for node in subterms(state)}
+        assert len(nodes) == len(set(nodes.values())) == 369
 
     @given(regexes(max_leaves=6))
     @settings(max_examples=60)

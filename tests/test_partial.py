@@ -68,10 +68,12 @@ class TestFirstMaskPruning:
     @given(regexes(), st.lists(regexes(), min_size=1, max_size=3), steps)
     @settings(max_examples=200)
     def test_equals_the_unpruned_step(self, e, frontier, a):
-        assert partial_derivatives(e, a) == reference_partial_derivatives(e, a)
-        assert step_frontier(frontier, a) == frozenset().union(
-            *(reference_partial_derivatives(m, a) for m in frontier)
-        )
+        expected = reference_partial_derivatives(e, a)
+        assert partial_derivatives(e, a) == expected
+        assert partial_derivatives(e, a, syntax.builder()) == expected
+        expected = frozenset().union(*(reference_partial_derivatives(m, a) for m in frontier))
+        assert step_frontier(frontier, a) == expected
+        assert step_frontier(frontier, a, syntax.builder()) == expected
 
     @given(regexes(), steps)
     @settings(max_examples=200)
