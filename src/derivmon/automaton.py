@@ -11,6 +11,8 @@ stable across runs.  A build steps through one :func:`.syntax.builder`,
 so a successor equal to a known state is almost always that state's
 object, found by identity.  It skips a symbol whose bit, computed once
 per build, is not in the state's ``first`` mask: that step is empty.
+Acceptance steps over per-symbol rows of successors (one pointer per
+symbol and state), so a one-state subset steps by one list index.
 """
 
 from __future__ import annotations
@@ -33,22 +35,32 @@ class Nfa:
     finals: frozenset[int]
 
     @cached_property
-    def _delta(self) -> dict[tuple[int, Symbol], frozenset[int]]:
-        out: dict[tuple[int, Symbol], set[int]] = {}
+    def _rows(self) -> dict[Symbol, list[tuple[int, ...]]]:
+        rows: dict[Symbol, list[tuple[int, ...]]] = {}
         for source, symbol, target in self.transitions:
-            out.setdefault((source, symbol), set()).add(target)
-        return {key: frozenset(value) for key, value in out.items()}
+            row = rows.get(symbol)
+            if row is None:
+                row = rows[symbol] = [()] * len(self.states)
+            row[source] += (target,)
+        return rows
 
     def accepts(self, word: Sequence[Symbol]) -> bool:
-        """Standard subset simulation from the initial state."""
-        current = {self.initial}
+        """Subset simulation over per-symbol rows, built on the first call at
+        one pointer per symbol and state: a one-state subset steps by one
+        list index, a larger one by the union of its members' rows."""
+        rows = self._rows
+        current: tuple[int, ...] = (self.initial,)
         for symbol in word:
-            current = set().union(
-                *(self._delta.get((state, symbol), frozenset()) for state in current)
-            )
+            row = rows.get(symbol)
+            if row is None:
+                return False
+            if len(current) == 1:
+                current = row[current[0]]
+            else:
+                current = tuple(set().union(*[row[state] for state in current]))
             if not current:
                 return False
-        return any(state in self.finals for state in current)
+        return not self.finals.isdisjoint(current)
 
     def to_json_dict(self) -> dict:
         return {

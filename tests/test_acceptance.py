@@ -124,12 +124,10 @@ def test_criterion_6_star_chain_formula():
 def test_criterion_7_nfa_growth_benchmark():
     with criterion(7, "4^n states, each quadratically small"):
         started = time.perf_counter()
-        assert [
-            len(build_nfa(file_descriptor_spec(n)).states) for n in (1, 2, 3, 4)
-        ] == [4, 16, 64, 256]
-        for n in (1, 2, 3, 4):
-            spec = file_descriptor_spec(n)
-            nfa = build_nfa(spec)
+        specs = [file_descriptor_spec(n) for n in (1, 2, 3, 4)]
+        nfas = [build_nfa(spec) for spec in specs]
+        assert [len(nfa.states) for nfa in nfas] == [4, 16, 64, 256]
+        for spec, nfa in zip(specs, nfas):
             cap = size_budget(spec)
             assert all(size(state) <= cap for state in nfa.states)
         assert time.perf_counter() - started <= 30.0

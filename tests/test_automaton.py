@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 
@@ -111,3 +113,17 @@ def test_accepts_uses_indexed_transitions():
     )
     assert nfa.accepts(("a",))
     assert not nfa.accepts(("a", "a"))
+    # Nondeterministic: `a` leads to a two-state subset whose members share
+    # their `b` target, and only the second member steps by `c`.
+    nfa = Nfa(
+        states=tuple(parse(text) for text in ("a b + a (b + c)", "b", "b + c", "eps")),
+        initial=0,
+        transitions=((0, "a", 1), (0, "a", 2), (1, "b", 3), (2, "b", 3), (2, "c", 3)),
+        finals=frozenset({3}),
+    )
+    assert nfa.accepts(("a", "b"))
+    assert nfa.accepts(("a", "c"))
+    assert not nfa.accepts(("d",))
+    assert not nfa.accepts(("a", "a"))
+    assert not nfa.accepts(())
+    assert replace(nfa, initial=3).accepts(())
