@@ -52,7 +52,7 @@ print("transition cache:    hits", stats.cache_hits, "| misses", stats.cache_mis
 print()
 
 # A Monitor builds the automaton lazily instead: it stores each
-# (frontier, event) transition the second time a session takes it, so
+# (frontier, event) transition the first time a session takes it, so
 # sessions sharing one Monitor soon step by table lookup alone.
 monitor = Monitor(spec)
 traces = sorted(shuffle_words(("o1", "a1", "c1"), ("o2", "a2", "c2")))

@@ -91,7 +91,7 @@ def file_descriptor_spec(n: int) -> Regex:
         raise ValueError("need at least one session")
 
     def session(i: int) -> Regex:
-        return Cat(Cat(Sym(f"o{i}"), Sym(f"a{i}")), Sym(f"c{i}"))
+        return Cat(Sym(f"o{i}"), Cat(Sym(f"a{i}"), Sym(f"c{i}")))
 
     spec = session(1)
     for i in range(2, n + 1):

@@ -16,12 +16,12 @@ compare as frozensets of expressions), and the stored frontier is
 handed back to the session, so the next lookup matches on identity.
 Sessions opened from one monitor share its table.
 
-A transition is stored only on its second sighting: a first sighting
-leaves the key's hash in a doorkeeper set, cleared whenever it reaches
-``DOORKEEPER_SIZE``.  A trace in which every frontier is new, such as a
-long sequence specification, therefore keeps nothing.  The expression
-nodes the table holds are capped at ``NODE_CAP``; past the cap, steps
-go uncached.  Neither rule can change a result, only its cost.
+A transition is stored on its first sighting while the expression nodes
+of the distinct frontiers the table holds, each member counted at its
+full size, stay within ``NODE_CAP``; past the cap, steps go uncached.
+The cap can change no result, only its cost.  A long sequence
+specification's frontiers never recur, so its trace fills the cap
+within a few events and stores nothing more.
 
 The paper's budgets bound each member, and ``TraceStats.max_size`` and
 ``max_height`` report the largest one.  The frontier as a whole is not
@@ -47,7 +47,6 @@ from .bounds import height_budget, size_budget
 from .partial import step_frontier
 from .syntax import Regex, Symbol, has_eps, height, size
 
-DOORKEEPER_SIZE = 4096
 NODE_CAP = 1 << 14
 
 
@@ -78,7 +77,7 @@ class Monitor:
     caller owns it.
     """
 
-    __slots__ = ("spec", "hits", "misses", "kept", "_table", "_frontiers", "_seen")
+    __slots__ = ("spec", "hits", "misses", "kept", "_table", "_frontiers")
 
     def __init__(self, spec: Regex) -> None:
         self.spec = spec
@@ -87,7 +86,6 @@ class Monitor:
         self.kept = 0
         self._table: dict[tuple[frozenset[Regex], Symbol], _Transition] = {}
         self._frontiers: dict[frozenset[Regex], frozenset[Regex]] = {}
-        self._seen: set[int] = set()
 
     def new_session(self) -> MonitorSession:
         """A session at the start of a trace, sharing this monitor's table."""
@@ -106,13 +104,6 @@ class Monitor:
             max([height(e) for e in after], default=0),
             _verdict(after),
         )
-        key = (frontier, event)
-        digest = hash(key)
-        if digest not in self._seen:
-            if len(self._seen) >= DOORKEEPER_SIZE:
-                self._seen.clear()
-            self._seen.add(digest)
-            return found
         fresh = [f for f in {frontier, after} if f not in self._frontiers]
         nodes = sum([size(e) for f in fresh for e in f])
         if self.kept + nodes > NODE_CAP:

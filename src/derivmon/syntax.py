@@ -7,7 +7,9 @@ The expression language has seven constructors::
 where ``a`` ranges over identifier-like event symbols other than the
 reserved ``eps``.  ``||`` is the shuffle (interleaving) operator.
 Operator precedence, tightest first: star, juxtaposition
-(concatenation), ``+`` (union), ``||`` (shuffle); the binary operators
+(concatenation), ``+`` (union), ``||`` (shuffle).  Concatenation
+associates to the right, so a partial-derivative step of ``e0 e1 ... en``
+keeps the untouched suffix and builds one node; ``+`` and ``||``
 associate to the left.
 
 Every node stores its nullability, size, height, structural hash and
@@ -285,7 +287,7 @@ _SHUFFLE, _OR, _CAT, _STAR, _ATOM = range(5)
 # Binary operators: own level, left operand's level, separator, right
 # operand's level.
 _BINARY_LAYOUT = {
-    Cat: (_CAT, _CAT, " ", _STAR),
+    Cat: (_CAT, _STAR, " ", _CAT),
     Or: (_OR, _OR, " + ", _CAT),
     Shuffle: (_SHUFFLE, _SHUFFLE, " || ", _OR),
 }
@@ -363,7 +365,8 @@ def parse(text: str) -> Regex:
         raise ParseError("1:1: empty input")
     tokens.append(("", len(text)))  # end of input
     # Operator precedence: pending binary operators sit on ``operators``
-    # as their rendering level, open parentheses as -1.
+    # as their rendering level, open parentheses as -1.  A juxtaposition
+    # reduces no pending juxtaposition, so concatenation nests right.
     binary = {_SHUFFLE: Shuffle, _OR: Or, _CAT: Cat}
     operands: list[Regex] = []
     operators: list[int] = []
@@ -379,7 +382,7 @@ def parse(text: str) -> Regex:
                 level = _SHUFFLE
             else:  # juxtaposition: the token starts the next operand
                 level = _CAT
-            while operators and operators[-1] >= level:
+            while operators and operators[-1] >= level + (level == _CAT):
                 right = operands.pop()
                 operands[-1] = binary[operators.pop()](operands[-1], right)
             if token == ")":

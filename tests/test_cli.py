@@ -192,7 +192,7 @@ class TestMonitor:
         assert record["sizeBudget"] == 30
         assert record["heightBudget"] == 3
         assert record["frontierHistory"] == [1, 1, 1]
-        assert record["cache"] == {"hits": 0, "misses": 2, "kept": 0}
+        assert record["cache"] == {"hits": 0, "misses": 2, "kept": 16}
 
     def test_unwritable_stats_path_prints_no_verdict(self, tmp_path, capsys):
         spec = self.write(tmp_path, "spec.txt", "a b")

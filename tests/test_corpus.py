@@ -20,7 +20,7 @@ class TestGenRegex:
             for e in gen_corpus(cfg, 200):
                 digest.update(format_regex(e).encode() + b"\n")
         assert digest.hexdigest() == (
-            "6ca917b4cfcef48e9c6ac56540a566b38eeb52489a0599821852073ddd8f749e"
+            "68669ba595d217e8730b76a47aba613f908779144beec4539d2ced454aeda14d"
         )
 
     def test_different_seeds_differ_somewhere(self):

@@ -14,7 +14,7 @@ from derivmon.monitor import (
     step,
 )
 from derivmon.oracle import shuffle_words
-from derivmon.syntax import parse
+from derivmon.syntax import EPS, Cat, parse
 from strategies import regexes, words
 
 
@@ -43,7 +43,7 @@ class TestStep:
 
     def test_file_sessions_take_the_right_projection(self):
         session = step(new_session(file_descriptor_spec(2)), "o2")
-        assert session.frontier == {parse("o1 a1 c1 || (eps a2) c2")}
+        assert session.frontier == {parse("o1 a1 c1 || eps a2 c2")}
         assert current_verdict(session) is Verdict.PENDING
 
     def test_empty_frontier_is_absorbing(self):
@@ -121,7 +121,8 @@ class TestRunTrace:
         }
         assert record["verdict"] == "ACCEPTING"
         assert record["frontierHistory"][0] == 1
-        assert record["cache"] == {"hits": 0, "misses": 2, "kept": 0}
+        # Both misses are stored: a* b* (5 nodes), (eps a*) b* (7) and eps b* (4).
+        assert record["cache"] == {"hits": 0, "misses": 2, "kept": 16}
 
     @given(regexes(max_leaves=6), words(max_len=4))
     @settings(max_examples=80)
@@ -145,16 +146,18 @@ def long_sequence_run():
     return run_trace(parse(" ".join(events)), events)
 
 
+@pytest.fixture(scope="module")
+def hundred_thousand_symbol_spec():
+    """The text e0 e1 ... e99999 and its parse, which nests 100,000 deep."""
+    text = " ".join(f"e{i}" for i in range(100_000))
+    return text, parse(text)
+
+
 class TestDeepSpecs:
     """Sequence specs e0 e1 ... e(n-1) nest n deep; nothing may recurse on depth."""
 
-    @staticmethod
-    def sequence(n):
-        return " ".join(f"e{i}" for i in range(n))
-
-    def test_hundred_thousand_symbol_spec(self):
-        text = self.sequence(100_000)
-        spec = parse(text)
+    def test_hundred_thousand_symbol_spec(self, hundred_thousand_symbol_spec):
+        text, spec = hundred_thousand_symbol_spec
         assert spec == parse(text)
         session = new_session(spec)
         verdicts = []
@@ -162,6 +165,18 @@ class TestDeepSpecs:
             session = step(session, event)
             verdicts.append(current_verdict(session))
         assert verdicts == [Verdict.PENDING, Verdict.PENDING, Verdict.VIOLATION]
+
+    def test_each_event_builds_one_node_over_the_spec_suffix(self, hundred_thousand_symbol_spec):
+        # Concatenation nests right, so after k events the one member is
+        # eps followed by the spec's own k-th suffix, shared by identity.
+        _, spec = hundred_thousand_symbol_spec
+        session = new_session(spec)
+        suffix = spec
+        for k in range(5):
+            session = step(session, f"e{k}")
+            suffix = suffix.right
+            (member,) = session.frontier
+            assert type(member) is Cat and member.left is EPS and member.right is suffix
 
     def test_complete_trace_of_a_long_spec_accepts(self, long_sequence_run):
         n = LONG_N
@@ -209,26 +224,27 @@ class TestMonitorCache:
             assert current_verdict(cached[-1]) is verdict
         assert shared.hits > shared.misses > 0
 
-    def test_a_trace_of_new_frontiers_keeps_nothing(self, long_sequence_run):
+    def test_a_trace_of_new_frontiers_hits_nothing_within_the_cap(self, long_sequence_run):
         _, stats = long_sequence_run
-        assert (stats.cache_hits, stats.cache_misses, stats.cache_kept) == (0, 1200, 0)
+        assert (stats.cache_hits, stats.cache_misses) == (0, 1200)
+        assert 0 < stats.cache_kept <= monitor_mod.NODE_CAP
 
-    def test_recurring_transitions_are_kept_from_their_second_sighting(self):
-        # Frontiers {(a b)*} -a-> F1 -b-> F2 -a-> F1 -b-> F2: only (F1, b)
-        # recurs within the first pass.
+    def test_recurring_transitions_are_kept_from_their_first_sighting(self):
+        # Frontiers F0 = {(a b)*} -a-> F1 -b-> F2 -a-> F1 -b-> F2: the first
+        # pass misses on (F0, a), (F1, b) and (F2, a), and hits on (F1, b).
         monitor = Monitor(parse("(a b)*"))
         fold(monitor.new_session(), "abab")
-        assert (monitor.hits, monitor.misses) == (0, 4)
-        assert monitor.kept > 0
+        assert (monitor.hits, monitor.misses) == (1, 3)
+        # F0 (a b)* has 4 nodes, F1 (eps b) (a b)* 8 and F2 eps (a b)* 6.
+        assert monitor.kept == 18
         fold(monitor.new_session(), "abab")
-        assert (monitor.hits, monitor.misses) == (2, 6)
+        assert (monitor.hits, monitor.misses) == (5, 3)
         fold(monitor.new_session(), "abab")
-        assert (monitor.hits, monitor.misses) == (6, 6)
+        assert (monitor.hits, monitor.misses) == (9, 3)
 
-    @pytest.mark.parametrize(("cap", "doorkeeper"), [(0, 4096), (40, 4096), (10**6, 1)])
-    def test_admission_limits_change_no_result(self, monkeypatch, cap, doorkeeper):
+    @pytest.mark.parametrize("cap", [0, 40, 10**6])
+    def test_admission_limits_change_no_result(self, monkeypatch, cap):
         monkeypatch.setattr(monitor_mod, "NODE_CAP", cap)
-        monkeypatch.setattr(monitor_mod, "DOORKEEPER_SIZE", doorkeeper)
         spec = file_descriptor_spec(2)
         shared = Monitor(spec)
         for trace in criterion_8_traces(count=40, seed=5):

@@ -39,8 +39,8 @@ class TestParse:
     def test_eps_literal(self):
         assert parse("eps") == Eps()
 
-    def test_left_associativity(self):
-        assert parse("a b c") == Cat(Cat(Sym("a"), Sym("b")), Sym("c"))
+    def test_concatenation_associates_right(self):
+        assert parse("a b c") == Cat(Sym("a"), Cat(Sym("b"), Sym("c")))
         assert parse("a + b + c") == Or(Or(Sym("a"), Sym("b")), Sym("c"))
         assert parse("a || b || c") == Shuffle(Shuffle(Sym("a"), Sym("b")), Sym("c"))
 
@@ -122,7 +122,10 @@ class TestFormat:
 
     def test_right_nested_operators_get_parentheses(self):
         assert format_regex(Or(Sym("a"), Or(Sym("b"), Sym("c")))) == "a + (b + c)"
-        assert format_regex(Cat(Sym("a"), Cat(Sym("b"), Sym("c")))) == "a (b c)"
+        # Concatenation nests right, so its left-nested form is the one
+        # that needs them.
+        assert format_regex(Cat(Sym("a"), Cat(Sym("b"), Sym("c")))) == "a b c"
+        assert format_regex(Cat(Cat(Sym("a"), Sym("b")), Sym("c"))) == "(a b) c"
         assert format_regex(Shuffle(Sym("a"), Shuffle(Sym("b"), Sym("c")))) == "a || (b || c)"
 
     @given(regexes())
