@@ -16,12 +16,16 @@ compare as frozensets of expressions), and the stored frontier is
 handed back to the session, so the next lookup matches on identity.
 Sessions opened from one monitor share its table.
 
-A transition is stored on its first sighting while the expression nodes
-of the distinct frontiers the table holds, each member counted at its
-full size, stay within ``NODE_CAP``; past the cap, steps go uncached.
-The cap can change no result, only its cost.  A long sequence
-specification's frontiers never recur, so its trace fills the cap
-within a few events and stores nothing more.
+A miss steps the frontier once and reads each new member's stored
+``size``, ``height`` and ``nullable`` in one pass.  The transition is
+stored on its first sighting while the expression nodes of the distinct
+frontiers the table holds, each member counted at its full size, stay
+within ``NODE_CAP``, and the table holds fewer than ``NODE_CAP``
+transitions; past either bound, steps go uncached.  The entry bound
+matters after a violation, where transitions into the stored empty
+frontier add no nodes.  The bounds change no result, only its cost.
+A long sequence specification's frontiers never recur, so its trace
+fills the node bound within a few events and stores nothing more.
 
 The paper's budgets bound each member, and ``TraceStats.max_size`` and
 ``max_height`` report the largest one.  The frontier as a whole is not
@@ -56,14 +60,6 @@ class Verdict(Enum):
     VIOLATION = "VIOLATION"
 
 
-def _verdict(frontier: frozenset[Regex]) -> Verdict:
-    if not frontier:
-        return Verdict.VIOLATION
-    if any(has_eps(e) for e in frontier):
-        return Verdict.ACCEPTING
-    return Verdict.PENDING
-
-
 # Next frontier, its largest member's size and height, and its verdict.
 _Transition = tuple[frozenset[Regex], int, int, Verdict]
 
@@ -89,32 +85,43 @@ class Monitor:
 
     def new_session(self) -> MonitorSession:
         """A session at the start of a trace, sharing this monitor's table."""
-        frontier = frozenset({self.spec})
+        verdict = Verdict.ACCEPTING if has_eps(self.spec) else Verdict.PENDING
         return MonitorSession(
-            self, frontier, 0, size(self.spec), height(self.spec), _verdict(frontier)
+            self, frozenset({self.spec}), 0, size(self.spec), height(self.spec), verdict
         )
 
     def _miss(self, frontier: frozenset[Regex], event: Symbol) -> _Transition:
         self.misses += 1
         after = step_frontier(frontier, event)
-        sizes = [size(e) for e in after]
-        found = (
-            after,
-            max(sizes, default=0),
-            max([height(e) for e in after], default=0),
-            _verdict(after),
-        )
-        fresh = [f for f in {frontier, after} if f not in self._frontiers]
-        nodes = sum([size(e) for f in fresh for e in f])
-        if self.kept + nodes > NODE_CAP:
-            return found
+        nodes = max_size = max_height = 0
+        verdict = Verdict.PENDING if after else Verdict.VIOLATION
+        for e in after:
+            nodes += e.size
+            if e.size > max_size:
+                max_size = e.size
+            if e.height > max_height:
+                max_height = e.height
+            if e.nullable:
+                verdict = Verdict.ACCEPTING
+        frontiers = self._frontiers
+        stored_after = frontiers.get(after)
+        stored_from = frontiers.get(frontier)
+        if stored_after is not None:
+            nodes = 0
+        # A self-loop from a new frontier stores, and charges, one frontier.
+        if stored_from is None and after != frontier:
+            nodes += sum([e.size for e in frontier])
+        if self.kept + nodes > NODE_CAP or len(self._table) >= NODE_CAP:
+            return after, max_size, max_height, verdict
         self.kept += nodes
-        for f in fresh:
-            self._frontiers[f] = f
         # Both ends become the stored objects, so that the session stepping
         # from ``after`` next time looks up an identical frontier.
-        found = (self._frontiers[after],) + found[1:]
-        self._table[(self._frontiers[frontier], event)] = found
+        if stored_from is None:
+            stored_from = frontiers.setdefault(frontier, frontier)
+        if stored_after is None:
+            stored_after = frontiers.setdefault(after, after)
+        found = (stored_after, max_size, max_height, verdict)
+        self._table[(stored_from, event)] = found
         return found
 
 

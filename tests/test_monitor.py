@@ -242,6 +242,21 @@ class TestMonitorCache:
         fold(monitor.new_session(), "abab")
         assert (monitor.hits, monitor.misses) == (9, 3)
 
+    def test_a_self_loop_is_charged_and_stored_once(self):
+        # {a*} -a-> F1 = {eps a*} -a-> F1: the second miss is a self-loop
+        # into a stored frontier, and the third step hits it.
+        monitor = Monitor(parse("a*"))
+        sessions = fold(monitor.new_session(), "aaa")
+        # a* has 2 nodes and eps a* 4.
+        assert (monitor.hits, monitor.misses, monitor.kept) == (1, 2, 6)
+        assert sessions[2].frontier is sessions[1].frontier
+        # {eps a*} steps to itself from the start: both ends are new and equal.
+        monitor = Monitor(parse("eps a*"))
+        start = monitor.new_session()
+        sessions = fold(start, "aaa")
+        assert (monitor.hits, monitor.misses, monitor.kept) == (2, 1, 4)
+        assert all(s.frontier is start.frontier for s in sessions)
+
     @pytest.mark.parametrize("cap", [0, 40, 10**6])
     def test_admission_limits_change_no_result(self, monkeypatch, cap):
         monkeypatch.setattr(monitor_mod, "NODE_CAP", cap)
@@ -253,3 +268,15 @@ class TestMonitorCache:
             assert [s.frontier for s in cached] == [s.frontier for s in fresh]
             assert [current_verdict(s) for s in cached] == [current_verdict(s) for s in fresh]
             assert shared.kept <= cap
+            assert len(shared._table) <= cap
+
+    def test_distinct_events_after_a_violation_fill_no_more_than_the_cap(self, monkeypatch):
+        # Transitions into the stored empty frontier add no nodes, so only
+        # the entry bound keeps a flood of new events from growing the table.
+        monkeypatch.setattr(monitor_mod, "NODE_CAP", 50)
+        monitor = Monitor(parse("a b"))
+        trace = [f"x{i}" for i in range(200)]
+        session = fold(monitor.new_session(), trace)[-1]
+        assert len(monitor._table) <= monitor_mod.NODE_CAP
+        assert current_verdict(session) is Verdict.VIOLATION
+        assert session.events_seen == len(trace)
