@@ -55,7 +55,9 @@ def agreement_problem(e: Regex, nfa: Nfa, symbols: Sequence[Symbol], max_len: in
     ``monitor.Monitor`` (its frontier, verdict, and largest size and height
     within the budgets of ``e``) and ``nfa`` on every word over ``symbols`` up to
     ``max_len``; names the shortest failing word, the first in ``symbols``
-    order among equally short ones."""
+    order among equally short ones.  A word of length ``max_len`` is a leaf
+    of the trie: its Brzozowski check reads ``derivative.nullable_after`` of
+    its parent's derivative and builds no node for the last symbol."""
     lang = oracle.lang_up_to(e, max_len)
     derive = derivative.deriver()  # one walk for the whole trie
     s_cap, h_cap = bounds.size_budget(e), bounds.height_budget(e)
@@ -67,9 +69,13 @@ def agreement_problem(e: Regex, nfa: Nfa, symbols: Sequence[Symbol], max_len: in
         if len(word) > limit:
             continue
         session = monitor.step(parent, word[-1]) if word else parent
-        brz = derive(brz, word[-1]) if word else brz
+        if word and len(word) == max_len:  # a leaf: nothing would step its derivative
+            nullable = derivative.nullable_after(brz, word[-1])
+        else:
+            brz = derive(brz, word[-1]) if word else brz
+            nullable = brz.nullable
         frontier, member = session.frontier, word in lang
-        if brz.nullable != member:
+        if nullable != member:
             found = "derivative disagrees"
         elif any(m.nullable for m in frontier) != member:
             found = "partial derivatives disagree"

@@ -15,6 +15,10 @@ each node by each symbol once and builds its nodes through its own
 trees are structurally equal to the unshared ones, with the same size
 and height: the form stays raw.  :func:`derive_word` runs one walk per
 word, and ``derive`` one walk per step.
+
+Membership reads only the nullability of the last derivative, so
+:func:`accepts` builds the derivative by all but the last symbol and
+then computes :func:`nullable_after` the last one, which builds no node.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .syntax import (
     Sym,
     Symbol,
     builder,
+    symbol_bit,
 )
 
 
@@ -100,6 +105,58 @@ def derive_word(e: Regex, word: Sequence[Symbol]) -> Regex:
     return e
 
 
+def nullable_after(e: Regex, symbol: Symbol) -> bool:
+    """``derive(e, symbol).nullable``, computed without building a node.
+
+    One walk applies the derivative rules reduced to their nullability:
+    a symbol gives whether it is ``symbol``, a constant False, a union
+    ``dl or dr``, a concatenation or shuffle ``(dl and right.nullable) or
+    (left.nullable and dr)``, and a star its body's value.  A subterm whose
+    ``first`` mask lacks the bit of ``symbol`` gives False (the rules
+    agree, by induction), so the walk visits only the subterms that carry
+    the bit, and each of those once.
+    """
+    bit = symbol_bit(symbol)
+    if not e.first & bit:
+        return False
+    memo: dict[int, bool] = {}  # id(node) -> its value; e keeps every node alive
+    stack = [e]  # a node stays on the stack until its needed children are known
+    while stack:
+        node = stack[-1]
+        if id(node) in memo:
+            stack.pop()
+            continue
+        kind = type(node)
+        if kind is Cat or kind is Or or kind is Shuffle:
+            left, right = node.left, node.right
+            # A side is needed only if it carries the bit and its term can be true.
+            dl = memo.get(id(left)) if left.first & bit and (kind is Or or right.nullable) else False
+            dr = memo.get(id(right)) if right.first & bit and (kind is Or or left.nullable) else False
+            if dl is None or dr is None:
+                if dr is None:
+                    stack.append(right)
+                if dl is None:
+                    stack.append(left)
+                continue
+            out = dl or dr
+        elif kind is Star:
+            body = memo.get(id(node.body))
+            if body is None:
+                stack.append(node.body)
+                continue
+            out = body
+        elif kind is Sym:
+            out = node.name == symbol
+        else:
+            raise TypeError(f"not a Regex: {node!r}")
+        stack.pop()
+        memo[id(node)] = out
+    return memo[id(e)]
+
+
 def accepts(e: Regex, word: Sequence[Symbol]) -> bool:
-    """Whether ``word`` is in the language of ``e``, by iterated derivation."""
-    return derive_word(e, word).nullable
+    """Whether ``word`` is in the language of ``e``: the derivative by all
+    but the last symbol, then :func:`nullable_after` the last one."""
+    if not word:
+        return e.nullable
+    return nullable_after(derive_word(e, word[:-1]), word[-1])

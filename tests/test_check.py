@@ -17,9 +17,20 @@ def test_agreement_problem_names_the_shortest_failing_word(monkeypatch):
         lambda: lambda e, symbol: Empty() if symbol == "b" else deriver()(e, symbol),
     )
     e = parse("(a + b)*")
-    # Depth first, ('a', 'b') fails before ('b',) is reached.
+    # ('a', 'b') has the full length, so it is a leaf: it reads
+    # nullable_after, not the broken walk, and passes; ('b',) fails.
     assert agreement_problem(e, build_nfa(e), ("a", "b"), 2) == (
         "derivative disagrees with oracle on ('b',)"
+    )
+
+
+def test_agreement_problem_reads_leaf_words_through_nullable_after(monkeypatch):
+    monkeypatch.setattr(derivative, "nullable_after", lambda e, symbol: False)
+    e = parse("(a + b)*")
+    # Only the words of length 2 are leaves; ('b',) still derives after
+    # ('a', 'a') fails, and passes.
+    assert agreement_problem(e, build_nfa(e), ("a", "b"), 2) == (
+        "derivative disagrees with oracle on ('a', 'a')"
     )
 
 

@@ -242,6 +242,23 @@ class TestMonitor:
         assert code == 0
         assert out.strip() == "ACCEPTING"
 
+    def test_missing_arguments_exit_3_not_violation(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["monitor"])
+        assert exit_info.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "required: spec_file" in captured.err
+
+
+def test_no_command_exits_3(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([])
+    assert exit_info.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: derivmon")
+
 
 class TestDeepSpecs:
     """Specs nested 10^4 deep print instead of failing with exit 4."""
@@ -325,6 +342,27 @@ class TestFuzz:
         lines = out.splitlines()
         assert lines[0] == "FAIL: size budget out of range"
         assert size(parse(lines[1].removeprefix("counterexample: "))) == 1
+
+    def test_non_integer_count_is_a_usage_error_exiting_3(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fuzz", "--count", "x"])
+        assert exit_info.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: derivmon fuzz")
+        assert "argument --count: invalid int value: 'x'" in captured.err
+
+    def test_console_script_usage_error_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["derivmon", "fuzz", "--count", "x"])
+        with pytest.raises(SystemExit) as exit_info:
+            run()
+        assert exit_info.value.code == 3
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fuzz", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: derivmon fuzz")
 
     def test_negative_count_exits_3(self, capsys):
         code, out, err = run_cli(capsys, "fuzz", "--count", "-5")

@@ -2,9 +2,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from derivmon.corpus import GenConfig, gen_corpus
-from derivmon.derivative import accepts, derive, derive_word, deriver
+from derivmon.derivative import accepts, derive, derive_word, deriver, nullable_after
 from derivmon.oracle import lang_up_to
-from derivmon.syntax import Cat, Empty, Eps, Or, Shuffle, Star, Sym, parse, size
+from derivmon.syntax import Cat, Empty, Eps, Or, Shuffle, Star, Sym, alphabet, parse, size
 from strategies import regexes, symbols, words
 
 
@@ -43,6 +43,13 @@ def reference_derive(e, symbol):
     raise TypeError(f"not a Regex: {e!r}")
 
 
+@given(regexes(max_leaves=12))
+def test_nullable_after_is_the_nullability_of_the_reference_derivative(e):
+    # "x" occurs in no generated expression, and its first-mask bit is "a"'s.
+    for a in sorted(alphabet(e)) + ["x"]:
+        assert nullable_after(e, a) == reference_derive(e, a).nullable, (e, a)
+
+
 class TestDeriveWithoutRecursion:
     @given(regexes(max_leaves=12), words(max_len=3))
     def test_matches_the_recursive_reference(self, e, word):
@@ -55,6 +62,7 @@ class TestDeriveWithoutRecursion:
         union = parse(" + ".join(["a"] * 10_000))
         derived = derive(union, "a")
         assert derived.nullable
+        assert nullable_after(union, "a")
         assert size(derived) == size(union)
 
     def test_deep_star_tower(self):
@@ -63,6 +71,7 @@ class TestDeriveWithoutRecursion:
             tower = Star(tower)
         derived = derive(tower, "a")
         assert derived.nullable
+        assert nullable_after(tower, "a")
         # Level k adds a concatenation node and the k-level tower itself.
         assert size(derived) == 1 + sum(k + 2 for k in range(1, 10_001))
 
