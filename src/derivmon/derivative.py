@@ -17,8 +17,14 @@ and height: the form stays raw.  :func:`derive_word` runs one walk per
 word, and ``derive`` one walk per step.
 
 Membership reads only the nullability of the last derivative, so
-:func:`accepts` builds the derivative by all but the last symbol and
-then computes :func:`nullable_after` the last one, which builds no node.
+:func:`accepts` derives by all but the last symbol and then computes
+:func:`nullable_after` the last one, which builds no node.  Its walk is
+live: it keeps every raw rule but one, deriving a subterm whose ``first``
+mask lacks the symbol's bit straight to ``0`` without visiting its
+children (that subterm's raw derivative has the empty language too).
+The rules are congruent on languages, so each live derivative is
+language-equal to the raw one and gives the same answer.  No public
+function returns a live derivative.
 """
 
 from __future__ import annotations
@@ -47,11 +53,23 @@ def deriver() -> Callable[[Regex, Symbol], Regex]:
     caller holds it, every derivative it computed and every node it built.
     Each memo entry holds the node whose ``id`` keys it, so no key can
     outlive its node and come back for another."""
-    memos: dict[Symbol, dict[int, tuple[Regex, Regex]]] = {}  # id(node) -> (node, derivative)
+    return _walk(live=False)
+
+
+def _walk(live: bool) -> Callable[[Regex, Symbol], Regex]:
+    """:func:`deriver`'s walk; a ``live`` one derives a node whose ``first``
+    mask lacks the symbol's bit to ``0`` without visiting its children.
+    Its results are only language-equal to the raw ones: no public
+    function may return them."""
+    # symbol -> (memo: id(node) -> (node, derivative), the symbol's bit if live else 0)
+    memos: dict[Symbol, tuple[dict[int, tuple[Regex, Regex]], int]] = {}
     make = builder()
 
     def derive(e: Regex, symbol: Symbol) -> Regex:
-        memo = memos.setdefault(symbol, {})
+        entry = memos.get(symbol)
+        if entry is None:
+            entry = memos[symbol] = ({}, symbol_bit(symbol) if live else 0)
+        memo, bit = entry
         stack = [e]  # a node stays on the stack until its children are derived
         while stack:
             node = stack[-1]
@@ -59,7 +77,9 @@ def deriver() -> Callable[[Regex, Symbol], Regex]:
                 stack.pop()
                 continue
             kind = type(node)
-            if kind is Cat or kind is Or or kind is Shuffle:
+            if live and not node.first & bit:
+                out = EMPTY
+            elif kind is Cat or kind is Or or kind is Shuffle:
                 left, right = memo.get(id(node.left)), memo.get(id(node.right))
                 if left is None or right is None:
                     stack += (node.right, node.left)
@@ -155,8 +175,12 @@ def nullable_after(e: Regex, symbol: Symbol) -> bool:
 
 
 def accepts(e: Regex, word: Sequence[Symbol]) -> bool:
-    """Whether ``word`` is in the language of ``e``: the derivative by all
-    but the last symbol, then :func:`nullable_after` the last one."""
+    """Whether ``word`` is in the language of ``e``: the live derivative by
+    all but the last symbol, language-equal to the raw one, then
+    :func:`nullable_after` the last one."""
     if not word:
         return e.nullable
-    return nullable_after(derive_word(e, word[:-1]), word[-1])
+    step = _walk(live=True)
+    for symbol in word[:-1]:
+        e = step(e, symbol)
+    return nullable_after(e, word[-1])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 
@@ -31,6 +33,20 @@ def test_agreement_problem_reads_leaf_words_through_nullable_after(monkeypatch):
     # ('a', 'a') fails, and passes.
     assert agreement_problem(e, build_nfa(e), ("a", "b"), 2) == (
         "derivative disagrees with oracle on ('a', 'a')"
+    )
+
+
+def test_agreement_problem_names_an_nfa_that_disagrees():
+    e = parse("a*")
+    nfa = dataclasses.replace(build_nfa(e), finals=frozenset())
+    assert agreement_problem(e, nfa, ("a",), 2) == "NFA disagrees with oracle on ()"
+
+
+def test_agreement_problem_names_a_frontier_that_disagrees(monkeypatch):
+    monkeypatch.setattr(monitor, "step_frontier", lambda frontier, event: frozenset())
+    e = parse("a*")
+    assert agreement_problem(e, build_nfa(e), ("a",), 2) == (
+        "partial derivatives disagree with oracle on ('a',)"
     )
 
 

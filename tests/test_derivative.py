@@ -1,6 +1,7 @@
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from derivmon import derivative
 from derivmon.corpus import GenConfig, gen_corpus
 from derivmon.derivative import accepts, derive, derive_word, deriver, nullable_after
 from derivmon.oracle import lang_up_to
@@ -63,6 +64,7 @@ class TestDeriveWithoutRecursion:
         derived = derive(union, "a")
         assert derived.nullable
         assert nullable_after(union, "a")
+        assert not accepts(union, ("a", "a"))
         assert size(derived) == size(union)
 
     def test_deep_star_tower(self):
@@ -72,6 +74,7 @@ class TestDeriveWithoutRecursion:
         derived = derive(tower, "a")
         assert derived.nullable
         assert nullable_after(tower, "a")
+        assert accepts(tower, ("a", "a"))
         # Level k adds a concatenation node and the k-level tower itself.
         assert size(derived) == 1 + sum(k + 2 for k in range(1, 10_001))
 
@@ -122,6 +125,30 @@ class TestAccepts:
         assert accepts(parse("a* b*"), ("a", "b"))
         assert not accepts(parse("a"), ())
         assert accepts(parse("a0 || a1"), ("a1", "a0"))
+
+    @given(regexes(max_leaves=12), words(("a", "b", "c", "x"), max_len=4))
+    @example(Cat(Sym("a"), Sym("b")), ("x", "b"))
+    def test_is_the_nullability_of_the_raw_derivative(self, e, word):
+        # "x" occurs in no generated expression and shares "a"'s first-mask
+        # bit, so the live walk must still apply the symbol rule.
+        assert accepts(e, word) == derive_word(e, word).nullable
+
+    def test_derives_only_subterms_that_can_read_the_symbol(self, monkeypatch):
+        built, builder = [], derivative.builder
+
+        def counting_builder():
+            make = builder()
+
+            def counted(kind, left, right):
+                built.append(kind)
+                return make(kind, left, right)
+
+            return counted
+
+        monkeypatch.setattr(derivative, "builder", counting_builder)
+        # "b a" cannot read "a": the raw step builds (0 a) + (0 eps).
+        assert not accepts(parse("b a"), ("a", "a"))
+        assert built == []
 
 
 def test_iterated_derivatives_grow_without_simplification():
