@@ -27,8 +27,9 @@ builder that :func:`.syntax.builder` returns keep state between calls,
 and their callers own them too: until dropped, they remember what they
 derived or built, and their results equal :func:`.derivative.derive`'s
 and the constructors', so that state changes only speed and identity.
-(:func:`.derivative.accepts` derives through a private live walk whose
-results are only language-equal to ``derive``'s; it returns none of them.)
+(:func:`.derivative.accepts` derives through a private live walk that
+applies the ``0`` and ``eps`` identities, so its results are only
+language-equal to ``derive``'s; it returns none of them.)
 """
 
 from .syntax import (

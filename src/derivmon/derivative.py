@@ -17,14 +17,15 @@ and height: the form stays raw.  :func:`derive_word` runs one walk per
 word, and ``derive`` one walk per step.
 
 Membership reads only the nullability of the last derivative, so
-:func:`accepts` derives by all but the last symbol and then computes
-:func:`nullable_after` the last one, which builds no node.  Its walk is
-live: it keeps every raw rule but one, deriving a subterm whose ``first``
-mask lacks the symbol's bit straight to ``0`` without visiting its
-children (that subterm's raw derivative has the empty language too).
-The rules are congruent on languages, so each live derivative is
-language-equal to the raw one and gives the same answer.  No public
-function returns a live derivative.
+:func:`accepts` folds a live walk over the word.  That walk builds
+through :func:`_absorbing`, which applies the ``0`` and ``eps``
+identities, and derives a subterm whose ``first`` mask lacks the
+symbol's bit straight to ``0`` without visiting its children (its raw
+derivative has the empty language too).  Both rules are congruent on
+languages, so each live derivative is language-equal to the raw one; on
+a sequence spec a step returns the spec's own suffix.  No public
+function returns a live derivative.  :func:`nullable_after` is the
+checker's test at the leaves of its word trie.
 """
 
 from __future__ import annotations
@@ -57,13 +58,13 @@ def deriver() -> Callable[[Regex, Symbol], Regex]:
 
 
 def _walk(live: bool) -> Callable[[Regex, Symbol], Regex]:
-    """:func:`deriver`'s walk; a ``live`` one derives a node whose ``first``
-    mask lacks the symbol's bit to ``0`` without visiting its children.
-    Its results are only language-equal to the raw ones: no public
-    function may return them."""
+    """:func:`deriver`'s walk; a ``live`` one builds through :func:`_absorbing`
+    and derives a node whose ``first`` mask lacks the symbol's bit to ``0``
+    without visiting its children.  Its results are only language-equal to
+    the raw ones: no public function may return them."""
     # symbol -> (memo: id(node) -> (node, derivative), the symbol's bit if live else 0)
     memos: dict[Symbol, tuple[dict[int, tuple[Regex, Regex]], int]] = {}
-    make = builder()
+    make = _absorbing(builder()) if live else builder()
 
     def derive(e: Regex, symbol: Symbol) -> Regex:
         entry = memos.get(symbol)
@@ -111,6 +112,23 @@ def _walk(live: bool) -> Callable[[Regex, Symbol], Regex]:
     return derive
 
 
+def _absorbing(make: Callable) -> Callable:
+    """``make`` behind the identities ``0 + e = e + 0 = e``, ``0 e = e 0 =
+    0 || e = e || 0 = 0`` and ``eps e = e``: it builds a node only where
+    none applies, and returns a language-equal one."""
+
+    def absorbing(kind: type, left: Regex, right: Regex) -> Regex:
+        if type(left) is Empty:
+            return right if kind is Or else EMPTY
+        if type(right) is Empty:
+            return left if kind is Or else EMPTY
+        if kind is Cat and type(left) is Eps:
+            return right
+        return make(kind, left, right)
+
+    return absorbing
+
+
 def derive(e: Regex, symbol: Symbol) -> Regex:
     """One-step derivative of ``e`` by ``symbol``."""
     return deriver()(e, symbol)
@@ -126,7 +144,8 @@ def derive_word(e: Regex, word: Sequence[Symbol]) -> Regex:
 
 
 def nullable_after(e: Regex, symbol: Symbol) -> bool:
-    """``derive(e, symbol).nullable``, computed without building a node.
+    """``derive(e, symbol).nullable``, computed without building a node, for
+    the leaves of the checker's word trie.
 
     One walk applies the derivative rules reduced to their nullability:
     a symbol gives whether it is ``symbol``, a constant False, a union
@@ -175,12 +194,9 @@ def nullable_after(e: Regex, symbol: Symbol) -> bool:
 
 
 def accepts(e: Regex, word: Sequence[Symbol]) -> bool:
-    """Whether ``word`` is in the language of ``e``: the live derivative by
-    all but the last symbol, language-equal to the raw one, then
-    :func:`nullable_after` the last one."""
-    if not word:
-        return e.nullable
+    """Whether ``word`` is in the language of ``e``: the nullability of the
+    live derivative by ``word``, language-equal to the raw one."""
     step = _walk(live=True)
-    for symbol in word[:-1]:
+    for symbol in word:
         e = step(e, symbol)
-    return nullable_after(e, word[-1])
+    return e.nullable

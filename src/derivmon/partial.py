@@ -9,10 +9,11 @@ accepted.
 
 Members are deduplicated by structural equality only; no smart
 constructors, no reassociation.  The closure (every expression reachable
-over all words) is finite, so it can be an NFA state space.  Given a
-``make`` from :func:`.syntax.builder`, a step builds its wrappers through
-it, so :func:`.automaton.build_nfa` finds equal states by identity; the
-monitor passes none, as its frontiers on long specs never recur.
+over all words) is finite, so it can be an NFA state space.  A step
+builds its wrappers through ``make``, plain construction by default.
+:func:`.automaton.build_nfa` passes one from :func:`.syntax.builder`,
+so it finds equal states by identity; the monitor keeps the default, as
+its frontiers on long specs never recur.
 
 :func:`step_frontier` is the one walk.  It goes top down from every
 member of a frontier at once, and each subterm it visits carries its
@@ -50,7 +51,7 @@ from .syntax import (
 DEFAULT_CLOSURE_CAP = 1_000_000
 
 
-def partial_derivatives(e: Regex, symbol: Symbol, make: Callable | None = None) -> frozenset[Regex]:
+def partial_derivatives(e: Regex, symbol: Symbol, make: Callable = type.__call__) -> frozenset[Regex]:
     """The set of one-step partial derivatives of ``e`` by ``symbol``.
 
     ``0``, ``eps`` and mismatched symbols have no derivatives at all;
@@ -60,7 +61,7 @@ def partial_derivatives(e: Regex, symbol: Symbol, make: Callable | None = None) 
 
 
 def step_frontier(
-    frontier: Iterable[Regex], symbol: Symbol, make: Callable | None = None
+    frontier: Iterable[Regex], symbol: Symbol, make: Callable = type.__call__
 ) -> frozenset[Regex]:
     """Set-lifted single step: the union of members' partial derivatives."""
     bit = symbol_bit(symbol)
@@ -96,14 +97,9 @@ def step_frontier(
                 stack.append((right, (Shuffle, left, None, context)))
         elif node.name == symbol:  # a Sym: 0 and eps have no bit, so none is pushed
             d: Regex = EPS
-            if make is None:
-                while context is not None:
-                    wrapper, left, right, context = context
-                    d = wrapper(d, right) if left is None else wrapper(left, d)
-            else:
-                while context is not None:
-                    wrapper, left, right, context = context
-                    d = make(wrapper, d, right) if left is None else make(wrapper, left, d)
+            while context is not None:
+                wrapper, left, right, context = context
+                d = make(wrapper, d, right) if left is None else make(wrapper, left, d)
             out.add(d)
     return frozenset(out)
 

@@ -21,7 +21,7 @@ parsing and both derivatives build with, and :func:`builder` gives each
 caller its own hash-consing constructor.  Nodes are immutable by
 convention and compared structurally.  :func:`parse`, equality,
 :func:`subterms` and :func:`format_regex` use explicit stacks, so they
-work at any depth.  No simplification is ever applied by this package:
+work at any depth.  No derivative this package returns is simplified:
 derivatives are kept in raw form, the form the space bounds are about.
 """
 

@@ -149,6 +149,13 @@ class TestAccepts:
         # "b a" cannot read "a": the raw step builds (0 a) + (0 eps).
         assert not accepts(parse("b a"), ("a", "a"))
         assert built == []
+        # The raw step by "a" builds (eps + 0) c + 0 0; the absorbing one returns c.
+        assert accepts(parse("(a + b) c"), ("a", "c"))
+        assert built == []
+        # Each step of a sequence spec returns the spec's own suffix.
+        sequence = " ".join(f"e{i}" for i in range(100))
+        assert accepts(parse(sequence), tuple(sequence.split()))
+        assert built == []
 
 
 def test_iterated_derivatives_grow_without_simplification():
