@@ -17,8 +17,10 @@ derivatives stay in the paper's raw, unsimplified form.  Nodes are
 immutable by convention (nothing assigns to a built node), the other
 values are immutable, and all functions are pure, so all of that is
 safe to share across threads; a monitor session is advanced by building
-a new session rather than mutating the old one.  No module-level
-function keeps state between calls.  The one mutable object is
+a new session rather than mutating the old one.  The one module-level
+function that keeps state between calls is :func:`.syntax.symbol_bit`,
+whose memo is bounded and holds only what the name alone decides.  The
+one mutable object is
 :class:`.monitor.Monitor`, the transition table of one specification,
 which its caller creates and owns.  Sessions opened from one monitor write to its table as they
 step, so step them from one thread at a time, or give each thread its

@@ -75,15 +75,25 @@ def agreement_problem(e: Regex, nfa: Nfa, symbols: Sequence[Symbol], max_len: in
             brz = derive(brz, word[-1]) if word else brz
             nullable = brz.nullable
         frontier, member = session.frontier, word in lang
+        accepting, max_size, max_height = False, parent.max_size_seen, parent.max_height_seen
+        for m in frontier:
+            accepting = accepting or m.nullable
+            if m.size > max_size:
+                max_size = m.size
+            if m.height > max_height:
+                max_height = m.height
         if nullable != member:
             found = "derivative disagrees"
-        elif any(m.nullable for m in frontier) != member:
+        elif accepting != member:
             found = "partial derivatives disagree"
-        elif (session.verdict, session.max_size_seen, session.max_height_seen) != (
-            Verdict.ACCEPTING if member else Verdict.PENDING if frontier else Verdict.VIOLATION,
-            max([parent.max_size_seen] + [m.size for m in frontier]),
-            max([parent.max_height_seen] + [m.height for m in frontier]),
-        ) or session.max_size_seen > s_cap or session.max_height_seen > h_cap:
+        elif (
+            session.verdict
+            is not (Verdict.ACCEPTING if member else Verdict.PENDING if frontier else Verdict.VIOLATION)
+            or session.max_size_seen != max_size
+            or session.max_height_seen != max_height
+            or max_size > s_cap
+            or max_height > h_cap
+        ):
             found = "monitor disagrees"
         elif nfa.accepts(word) != member:
             found = "NFA disagrees"

@@ -103,6 +103,8 @@ class Monitor:
                 max_height = e.height
             if e.nullable:
                 verdict = Verdict.ACCEPTING
+        if len(self._table) >= NODE_CAP:
+            return after, max_size, max_height, verdict
         frontiers = self._frontiers
         stored_after = frontiers.get(after)
         stored_from = frontiers.get(frontier)
@@ -111,7 +113,7 @@ class Monitor:
         # A self-loop from a new frontier stores, and charges, one frontier.
         if stored_from is None and after != frontier:
             nodes += sum([e.size for e in frontier])
-        if self.kept + nodes > NODE_CAP or len(self._table) >= NODE_CAP:
+        if self.kept + nodes > NODE_CAP:
             return after, max_size, max_height, verdict
         self.kept += nodes
         # Both ends become the stored objects, so that the session stepping

@@ -10,20 +10,26 @@ accepted.
 Members are deduplicated by structural equality only; no smart
 constructors, no reassociation.  The closure (every expression reachable
 over all words) is finite, so it can be an NFA state space.  A step
-builds its wrappers through ``make``, plain construction by default.
+builds its wrappers through ``make``, plain construction by default, in
+which case it calls the node classes themselves.
 :func:`.automaton.build_nfa` passes one from :func:`.syntax.builder`,
 so it finds equal states by identity; the monitor keeps the default, as
 its frontiers on long specs never recur.
 
-:func:`step_frontier` is the one walk.  It goes top down from every
-member of a frontier at once, and each subterm it visits carries its
-context: the wrappers between that subterm and its member.  A
-concatenation's left factor is wrapped in ``Cat(., right)``, a star's
-body in ``Cat(., star)``, and each side of a shuffle in the shuffle with
-the other side; a union adds no wrapper.  A symbol that matches steps to
+:func:`step_frontier` is the one walk.  It goes top down from each
+member of a frontier, and each subterm it visits carries its context:
+the wrappers between that subterm and its member.  A concatenation's
+left factor is wrapped in ``Cat(., right)``, a star's body in
+``Cat(., star)``, and each side of a shuffle in the shuffle with the
+other side; a union adds no wrapper.  A symbol that matches steps to
 ``eps``, and rebuilding ``eps`` outward through its context gives one
-member of the result.  :func:`partial_derivatives` is that walk from a
-single expression.
+member of the result.  The walk descends in place into a child whose
+``first`` mask (below) has the symbol's bit, and keeps a ``(subterm,
+context)`` pair on its stack only where a node has two such children: a
+union or shuffle whose sides both have it, or a nullable concatenation
+whose factors both have it.  A sequence spec's step is one path down and
+stacks nothing.  :func:`partial_derivatives` is that walk from a single
+expression.
 
 The step walks only the subterms whose stored ``first`` mask has the
 symbol's bit.  That is exact: a subterm has a derivative by ``a``
@@ -35,6 +41,7 @@ nothing, never a member, so the result is the paper's raw relation.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable, Sequence
 
 from .syntax import (
@@ -44,6 +51,7 @@ from .syntax import (
     Regex,
     Shuffle,
     Star,
+    Sym,
     Symbol,
     symbol_bit,
 )
@@ -65,42 +73,60 @@ def step_frontier(
 ) -> frozenset[Regex]:
     """Set-lifted single step: the union of members' partial derivatives."""
     bit = symbol_bit(symbol)
+    if make is type.__call__:  # the classes themselves: no call through type.__call__
+        cat, shuffle = Cat, Shuffle
+    else:
+        cat, shuffle = functools.partial(make, Cat), functools.partial(make, Shuffle)
     out: set[Regex] = set()
     # A context is None at a member, else (wrapper, left, right, outer):
     # ``wrapper(left, right)`` with the stepped subterm in place of the
-    # side that is None, inside the wrappers of ``outer``.
+    # side that is None, inside the wrappers of ``outer``.  Every node
+    # visited has the bit, so the walk goes on in place into a child that
+    # has it; ``stack`` holds the other child wherever both have it.
     stack: list[tuple[Regex, tuple | None]] = []
-    for e in frontier:
-        if e.first & bit:
-            stack.append((e, None))
-    while stack:
-        node, context = stack.pop()
-        kind = type(node)
-        if kind is Cat:
-            left, right = node.left, node.right
-            if left.first & bit:
-                stack.append((left, (Cat, None, right, context)))
-            if left.nullable and right.first & bit:
-                stack.append((right, context))
-        elif kind is Or:
-            if node.left.first & bit:
-                stack.append((node.left, context))
-            if node.right.first & bit:
-                stack.append((node.right, context))
-        elif kind is Star:
-            stack.append((node.body, (Cat, None, node, context)))
-        elif kind is Shuffle:
-            left, right = node.left, node.right
-            if left.first & bit:
-                stack.append((left, (Shuffle, None, right, context)))
-            if right.first & bit:
-                stack.append((right, (Shuffle, left, None, context)))
-        elif node.name == symbol:  # a Sym: 0 and eps have no bit, so none is pushed
-            d: Regex = EPS
-            while context is not None:
-                wrapper, left, right, context = context
-                d = make(wrapper, d, right) if left is None else make(wrapper, left, d)
-            out.add(d)
+    for node in frontier:
+        if not node.first & bit:
+            continue
+        context = None
+        while True:
+            kind = type(node)
+            while kind is not Sym:  # 0 and eps have no bit, so none is visited
+                if kind is Cat:
+                    left, right = node.left, node.right
+                    if left.first & bit:
+                        if left.nullable and right.first & bit:
+                            stack.append((right, context))
+                        node, context = left, (cat, None, right, context)
+                    else:  # the bit came through a nullable left factor
+                        node = right
+                elif kind is Or:
+                    left, right = node.left, node.right
+                    if left.first & bit:
+                        if right.first & bit:
+                            stack.append((right, context))
+                        node = left
+                    else:
+                        node = right
+                elif kind is Star:
+                    node, context = node.body, (cat, None, node, context)
+                else:  # Shuffle
+                    left, right = node.left, node.right
+                    if left.first & bit:
+                        if right.first & bit:
+                            stack.append((right, (shuffle, left, None, context)))
+                        node, context = left, (shuffle, None, right, context)
+                    else:
+                        node, context = right, (shuffle, left, None, context)
+                kind = type(node)
+            if node.name == symbol:
+                d: Regex = EPS
+                while context is not None:
+                    wrapper, left, right, context = context
+                    d = wrapper(d, right) if left is None else wrapper(left, d)
+                out.add(d)
+            if not stack:
+                break
+            node, context = stack.pop()
     return frozenset(out)
 
 

@@ -27,6 +27,7 @@ derivatives are kept in raw form, the form the space bounds are about.
 
 from __future__ import annotations
 
+import functools
 import re
 import zlib
 from typing import Callable
@@ -208,10 +209,12 @@ EMPTY = Empty()  # shared leaves: raw derivatives are mostly these two
 EPS = Eps()
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def symbol_bit(name: Symbol) -> int:
     """The one bit of ``name`` in ``first`` masks: a CRC-32 of the name, so
     it is the same in every process (``hash`` of a str is salted).  Any str
-    has a bit, even one no expression can contain, such as a lone surrogate."""
+    has a bit, even one no expression can contain, such as a lone surrogate.
+    The last 4096 names' bits are memoised: a step computes no CRC for them."""
     return 1 << (zlib.crc32(name.encode("utf-8", "surrogatepass")) & 63)
 
 

@@ -92,6 +92,42 @@ class TestFirstMaskPruning:
             assert partial_derivatives(rebuilt, a) == expected
 
 
+class TestInPlaceDescent:
+    """The step goes on in place into a child that has the symbol's bit and
+    keeps the other child for later only where both have it."""
+
+    @staticmethod
+    def check(text, symbol, members):
+        e = parse(text)
+        stepped = partial_derivatives(e, symbol)
+        assert stepped == reference_partial_derivatives(e, symbol)
+        assert sorted(map(format_regex, stepped)) == members
+
+    def test_union_whose_left_side_lacks_the_bit(self):
+        self.check("(b + a c) d", "a", ["(eps c) d"])
+        self.check("(a b + b + a c) d", "a", ["(eps b) d", "(eps c) d"])
+
+    def test_shuffle_whose_right_side_lacks_the_bit(self):
+        self.check("(a b || c) d", "a", ["(eps b || c) d"])
+        self.check("c || a b", "a", ["c || eps b"])
+        self.check("a || a b", "a", ["a || eps b", "eps || a b"])
+
+    def test_nullable_concatenation_with_both_sides_live_below_the_root(self):
+        self.check(
+            "c || (a* (a + b)*) d",
+            "a",
+            ["c || ((eps a*) (a + b)*) d", "c || (eps (a + b)*) d"],
+        )
+
+    def test_union_chain_with_one_live_leaf_at_the_far_end(self):
+        # Left-nested 10^4 deep; "b" does not share "a"'s bit, so the walk
+        # follows one path down and stacks nothing.
+        assert syntax.symbol_bit("a") != syntax.symbol_bit("b")
+        chain = parse(" + ".join(["a c"] + ["b"] * 9_999))
+        assert chain.height == 10_000
+        assert partial_derivatives(chain, "a") == reference_partial_derivatives(parse("a c"), "a")
+
+
 class TestDeepShapes:
     """Shapes nested 10^4 deep step without Python recursion."""
 
