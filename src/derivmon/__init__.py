@@ -24,14 +24,14 @@ one mutable object is
 :class:`.monitor.Monitor`, the transition table of one specification,
 which its caller creates and owns.  Sessions opened from one monitor write to its table as they
 step, so step them from one thread at a time, or give each thread its
-own monitor.  The walk that :func:`.derivative.deriver` returns and the
-builder that :func:`.syntax.builder` returns keep state between calls,
-and their callers own them too: until dropped, they remember what they
-derived or built, and their results equal :func:`.derivative.derive`'s
-and the constructors', so that state changes only speed and identity.
-(:func:`.derivative.accepts` derives through a private live walk that
-applies the ``0`` and ``eps`` identities, so its results are only
-language-equal to ``derive``'s; it returns none of them.)
+own monitor.  The functions that :func:`.derivative.deriver`,
+:func:`.derivative.acceptor` and :func:`.syntax.builder` return keep
+state between calls, and their callers own them too: until dropped,
+they remember what they derived or built, and their results equal
+:func:`.derivative.derive`'s, :func:`.derivative.accepts`' and the
+constructors', so that state changes only speed and identity.  (An
+acceptor's private live walk applies the ``0`` and ``eps`` identities
+and builds without a table; it returns only bools.)
 """
 
 from .syntax import (

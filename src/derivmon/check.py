@@ -4,7 +4,9 @@ Each check returns the first broken property as text, or None, and its
 docstring states the order it checks in, which decides the text when
 more than one property is broken.  Every engine, the monitor included,
 is looked up through its module at call time, so a test can replace one
-and watch the check fail.
+and watch the check fail.  The Brzozowski check runs both walks of
+:mod:`.derivative`: the raw reference walk on the inner words of its
+word trie, and the live membership walk at the leaves.
 """
 
 from __future__ import annotations
@@ -55,11 +57,13 @@ def agreement_problem(e: Regex, nfa: Nfa, symbols: Sequence[Symbol], max_len: in
     ``monitor.Monitor`` (its frontier, verdict, and largest size and height
     within the budgets of ``e``) and ``nfa`` on every word over ``symbols`` up to
     ``max_len``; names the shortest failing word, the first in ``symbols``
-    order among equally short ones.  A word of length ``max_len`` is a leaf
-    of the trie: its Brzozowski check reads ``derivative.nullable_after`` of
-    its parent's derivative and builds no node for the last symbol."""
+    order among equally short ones.  Inner words derive through the raw
+    ``derivative.deriver`` walk; a word of length ``max_len`` is a leaf of
+    the trie, and its Brzozowski check reads one shared
+    ``derivative.acceptor`` on its parent's raw derivative and last symbol,
+    so both walks are checked against the oracle."""
     lang = oracle.lang_up_to(e, max_len)
-    derive = derivative.deriver()  # one walk for the whole trie
+    derive, in_lang = derivative.deriver(), derivative.acceptor()  # one of each for the trie
     s_cap, h_cap = bounds.size_budget(e), bounds.height_budget(e)
     problem, limit = None, max_len  # after a failure, only shorter words can replace it
     # Depth first, in symbols order: a popped entry steps its parent's derivative and session.
@@ -70,7 +74,7 @@ def agreement_problem(e: Regex, nfa: Nfa, symbols: Sequence[Symbol], max_len: in
             continue
         session = monitor.step(parent, word[-1]) if word else parent
         if word and len(word) == max_len:  # a leaf: nothing would step its derivative
-            nullable = derivative.nullable_after(brz, word[-1])
+            nullable = in_lang(brz, word[-1:])
         else:
             brz = derive(brz, word[-1]) if word else brz
             nullable = brz.nullable

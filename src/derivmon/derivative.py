@@ -17,15 +17,17 @@ and height: the form stays raw.  :func:`derive_word` runs one walk per
 word, and ``derive`` one walk per step.
 
 Membership reads only the nullability of the last derivative, so
-:func:`accepts` folds a live walk over the word.  That walk builds
-through :func:`_absorbing`, which applies the ``0`` and ``eps``
-identities, and derives a subterm whose ``first`` mask lacks the
-symbol's bit straight to ``0`` without visiting its children (its raw
-derivative has the empty language too).  Both rules are congruent on
-languages, so each live derivative is language-equal to the raw one; on
-a sequence spec a step returns the spec's own suffix.  No public
-function returns a live derivative.  :func:`nullable_after` is the
-checker's test at the leaves of its word trie.
+:func:`acceptor` returns a function that folds one live walk over each
+word it is given, and :func:`accepts` is a fresh one's call.  The live
+walk builds each node directly through :func:`_absorbing`, which
+applies the ``0`` and ``eps`` identities, and keeps no builder table; it
+derives a subterm whose ``first`` mask lacks the symbol's bit straight
+to ``0`` without visiting its children (its raw derivative has the empty
+language too).  Both rules are congruent on languages, so each live
+derivative is language-equal to the raw one; on a sequence spec a step
+returns the spec's own suffix.  These are the module's two walks: the
+raw one is the reference, the live one decides membership, and the
+checker runs both.  No public function returns a live derivative.
 """
 
 from __future__ import annotations
@@ -59,12 +61,12 @@ def deriver() -> Callable[[Regex, Symbol], Regex]:
 
 def _walk(live: bool) -> Callable[[Regex, Symbol], Regex]:
     """:func:`deriver`'s walk; a ``live`` one builds through :func:`_absorbing`
-    and derives a node whose ``first`` mask lacks the symbol's bit to ``0``
-    without visiting its children.  Its results are only language-equal to
-    the raw ones: no public function may return them."""
+    with no table, and derives a node whose ``first`` mask lacks the
+    symbol's bit to ``0`` without visiting its children.  Its results are
+    only language-equal to the raw ones: no public function may return them."""
     # symbol -> (memo: id(node) -> (node, derivative), the symbol's bit if live else 0)
     memos: dict[Symbol, tuple[dict[int, tuple[Regex, Regex]], int]] = {}
-    make = _absorbing(builder()) if live else builder()
+    make = _absorbing if live else builder()
 
     def derive(e: Regex, symbol: Symbol) -> Regex:
         entry = memos.get(symbol)
@@ -112,21 +114,17 @@ def _walk(live: bool) -> Callable[[Regex, Symbol], Regex]:
     return derive
 
 
-def _absorbing(make: Callable) -> Callable:
-    """``make`` behind the identities ``0 + e = e + 0 = e``, ``0 e = e 0 =
-    0 || e = e || 0 = 0`` and ``eps e = e``: it builds a node only where
-    none applies, and returns a language-equal one."""
-
-    def absorbing(kind: type, left: Regex, right: Regex) -> Regex:
-        if type(left) is Empty:
-            return right if kind is Or else EMPTY
-        if type(right) is Empty:
-            return left if kind is Or else EMPTY
-        if kind is Cat and type(left) is Eps:
-            return right
-        return make(kind, left, right)
-
-    return absorbing
+def _absorbing(kind: type, left: Regex, right: Regex) -> Regex:
+    """``kind(left, right)`` behind the identities ``0 + e = e + 0 = e``,
+    ``0 e = e 0 = 0 || e = e || 0 = 0`` and ``eps e = e``: it builds a node
+    only where none applies, and returns a language-equal one."""
+    if type(left) is Empty:
+        return right if kind is Or else EMPTY
+    if type(right) is Empty:
+        return left if kind is Or else EMPTY
+    if kind is Cat and type(left) is Eps:
+        return right
+    return kind(left, right)
 
 
 def derive(e: Regex, symbol: Symbol) -> Regex:
@@ -143,60 +141,21 @@ def derive_word(e: Regex, word: Sequence[Symbol]) -> Regex:
     return e
 
 
-def nullable_after(e: Regex, symbol: Symbol) -> bool:
-    """``derive(e, symbol).nullable``, computed without building a node, for
-    the leaves of the checker's word trie.
+def acceptor() -> Callable[[Regex, Sequence[Symbol]], bool]:
+    """A fresh :func:`accepts`, the live counterpart of :func:`deriver`: every
+    call folds the one live walk it keeps, so calls on shared subterms
+    derive each of them by each symbol once.  It returns only bools."""
+    step = _walk(live=True)
 
-    One walk applies the derivative rules reduced to their nullability:
-    a symbol gives whether it is ``symbol``, a constant False, a union
-    ``dl or dr``, a concatenation or shuffle ``(dl and right.nullable) or
-    (left.nullable and dr)``, and a star its body's value.  A subterm whose
-    ``first`` mask lacks the bit of ``symbol`` gives False (the rules
-    agree, by induction), so the walk visits only the subterms that carry
-    the bit, and each of those once.
-    """
-    bit = symbol_bit(symbol)
-    if not e.first & bit:
-        return False
-    memo: dict[int, bool] = {}  # id(node) -> its value; e keeps every node alive
-    stack = [e]  # a node stays on the stack until its needed children are known
-    while stack:
-        node = stack[-1]
-        if id(node) in memo:
-            stack.pop()
-            continue
-        kind = type(node)
-        if kind is Cat or kind is Or or kind is Shuffle:
-            left, right = node.left, node.right
-            # A side is needed only if it carries the bit and its term can be true.
-            dl = memo.get(id(left)) if left.first & bit and (kind is Or or right.nullable) else False
-            dr = memo.get(id(right)) if right.first & bit and (kind is Or or left.nullable) else False
-            if dl is None or dr is None:
-                if dr is None:
-                    stack.append(right)
-                if dl is None:
-                    stack.append(left)
-                continue
-            out = dl or dr
-        elif kind is Star:
-            body = memo.get(id(node.body))
-            if body is None:
-                stack.append(node.body)
-                continue
-            out = body
-        elif kind is Sym:
-            out = node.name == symbol
-        else:
-            raise TypeError(f"not a Regex: {node!r}")
-        stack.pop()
-        memo[id(node)] = out
-    return memo[id(e)]
+    def accepts(e: Regex, word: Sequence[Symbol]) -> bool:
+        for symbol in word:
+            e = step(e, symbol)
+        return e.nullable
+
+    return accepts
 
 
 def accepts(e: Regex, word: Sequence[Symbol]) -> bool:
     """Whether ``word`` is in the language of ``e``: the nullability of the
     live derivative by ``word``, language-equal to the raw one."""
-    step = _walk(live=True)
-    for symbol in word:
-        e = step(e, symbol)
-    return e.nullable
+    return acceptor()(e, word)

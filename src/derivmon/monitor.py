@@ -107,15 +107,16 @@ class Monitor:
             return after, max_size, max_height, verdict
         frontiers = self._frontiers
         stored_after = frontiers.get(after)
+        kept = self.kept if stored_after is not None else self.kept + nodes
+        if kept > NODE_CAP:  # charging the source end below only adds
+            return after, max_size, max_height, verdict
         stored_from = frontiers.get(frontier)
-        if stored_after is not None:
-            nodes = 0
         # A self-loop from a new frontier stores, and charges, one frontier.
         if stored_from is None and after != frontier:
-            nodes += sum([e.size for e in frontier])
-        if self.kept + nodes > NODE_CAP:
-            return after, max_size, max_height, verdict
-        self.kept += nodes
+            kept += sum([e.size for e in frontier])
+            if kept > NODE_CAP:
+                return after, max_size, max_height, verdict
+        self.kept = kept
         # Both ends become the stored objects, so that the session stepping
         # from ``after`` next time looks up an identical frontier.
         if stored_from is None:

@@ -19,21 +19,29 @@ def test_agreement_problem_names_the_shortest_failing_word(monkeypatch):
         lambda: lambda e, symbol: Empty() if symbol == "b" else deriver()(e, symbol),
     )
     e = parse("(a + b)*")
-    # ('a', 'b') has the full length, so it is a leaf: it reads
-    # nullable_after, not the broken walk, and passes; ('b',) fails.
+    # ('a', 'b') has the full length, so it is a leaf: it reads the
+    # acceptor's live walk, not the broken one, and passes; ('b',) fails.
     assert agreement_problem(e, build_nfa(e), ("a", "b"), 2) == (
         "derivative disagrees with oracle on ('b',)"
     )
 
 
-def test_agreement_problem_reads_leaf_words_through_nullable_after(monkeypatch):
-    monkeypatch.setattr(derivative, "nullable_after", lambda e, symbol: False)
+def test_agreement_problem_reads_leaf_words_through_the_acceptor(monkeypatch):
+    monkeypatch.setattr(derivative, "acceptor", lambda: lambda e, word: False)
     e = parse("(a + b)*")
     # Only the words of length 2 are leaves; ('b',) still derives after
     # ('a', 'a') fails, and passes.
     assert agreement_problem(e, build_nfa(e), ("a", "b"), 2) == (
         "derivative disagrees with oracle on ('a', 'a')"
     )
+
+
+def test_agreement_problem_shares_one_acceptor_across_the_trie(monkeypatch):
+    made, acceptor = [], derivative.acceptor
+    monkeypatch.setattr(derivative, "acceptor", lambda: made.append(1) or acceptor())
+    e = parse("(a + b)* a")
+    assert agreement_problem(e, build_nfa(e), ("a", "b"), 3) is None
+    assert made == [1]
 
 
 def test_agreement_problem_names_an_nfa_that_disagrees():
@@ -81,6 +89,15 @@ def test_agreement_problem_names_the_shortest_word_a_stale_verdict_breaks(monkey
 @settings(max_examples=500, deadline=None)
 def test_random_expressions_have_no_problem(e):
     assert problem(e, 4) is None
+
+
+class TestDeepInputs:
+    # Both are deeper than the default recursion limit.
+    def test_a_long_sequence_spec_has_no_problem(self):
+        assert problem(parse(" ".join("abc"[i % 3] for i in range(1200))), 2) is None
+
+    def test_a_shuffle_with_a_long_union_has_no_problem(self):
+        assert problem(parse("(a b)* || " + " + ".join(["a"] * 3000)), 4) is None
 
 
 # The checker that re-derived every state by every symbol of ``e`` before

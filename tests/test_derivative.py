@@ -3,9 +3,9 @@ from hypothesis import strategies as st
 
 from derivmon import derivative
 from derivmon.corpus import GenConfig, gen_corpus
-from derivmon.derivative import accepts, derive, derive_word, deriver, nullable_after
+from derivmon.derivative import accepts, derive, derive_word, deriver
 from derivmon.oracle import lang_up_to
-from derivmon.syntax import Cat, Empty, Eps, Or, Shuffle, Star, Sym, alphabet, parse, size
+from derivmon.syntax import EMPTY, EPS, Cat, Empty, Eps, Or, Shuffle, Star, Sym, parse, size
 from strategies import regexes, symbols, words
 
 
@@ -44,13 +44,6 @@ def reference_derive(e, symbol):
     raise TypeError(f"not a Regex: {e!r}")
 
 
-@given(regexes(max_leaves=12))
-def test_nullable_after_is_the_nullability_of_the_reference_derivative(e):
-    # "x" occurs in no generated expression, and its first-mask bit is "a"'s.
-    for a in sorted(alphabet(e)) + ["x"]:
-        assert nullable_after(e, a) == reference_derive(e, a).nullable, (e, a)
-
-
 class TestDeriveWithoutRecursion:
     @given(regexes(max_leaves=12), words(max_len=3))
     def test_matches_the_recursive_reference(self, e, word):
@@ -63,7 +56,7 @@ class TestDeriveWithoutRecursion:
         union = parse(" + ".join(["a"] * 10_000))
         derived = derive(union, "a")
         assert derived.nullable
-        assert nullable_after(union, "a")
+        assert accepts(union, ("a",))
         assert not accepts(union, ("a", "a"))
         assert size(derived) == size(union)
 
@@ -73,7 +66,7 @@ class TestDeriveWithoutRecursion:
             tower = Star(tower)
         derived = derive(tower, "a")
         assert derived.nullable
-        assert nullable_after(tower, "a")
+        assert accepts(tower, ("a",))
         assert accepts(tower, ("a", "a"))
         # Level k adds a concatenation node and the k-level tower itself.
         assert size(derived) == 1 + sum(k + 2 for k in range(1, 10_001))
@@ -133,29 +126,19 @@ class TestAccepts:
         # bit, so the live walk must still apply the symbol rule.
         assert accepts(e, word) == derive_word(e, word).nullable
 
-    def test_derives_only_subterms_that_can_read_the_symbol(self, monkeypatch):
-        built, builder = [], derivative.builder
-
-        def counting_builder():
-            make = builder()
-
-            def counted(kind, left, right):
-                built.append(kind)
-                return make(kind, left, right)
-
-            return counted
-
-        monkeypatch.setattr(derivative, "builder", counting_builder)
+    def test_derives_only_subterms_that_can_read_the_symbol(self):
+        live = derivative._walk(live=True)
         # "b a" cannot read "a": the raw step builds (0 a) + (0 eps).
-        assert not accepts(parse("b a"), ("a", "a"))
-        assert built == []
+        assert live(parse("b a"), "a") is EMPTY
         # The raw step by "a" builds (eps + 0) c + 0 0; the absorbing one returns c.
-        assert accepts(parse("(a + b) c"), ("a", "c"))
-        assert built == []
+        e = parse("(a + b) c")
+        assert live(e, "a") is e.right
         # Each step of a sequence spec returns the spec's own suffix.
-        sequence = " ".join(f"e{i}" for i in range(100))
-        assert accepts(parse(sequence), tuple(sequence.split()))
-        assert built == []
+        e = parse(" ".join(f"e{i}" for i in range(100)))
+        for i in range(99):
+            assert live(e, f"e{i}") is e.right
+            e = e.right
+        assert live(e, "e99") is EPS
 
 
 def test_iterated_derivatives_grow_without_simplification():

@@ -257,6 +257,19 @@ class TestMonitorCache:
         assert (monitor.hits, monitor.misses, monitor.kept) == (2, 1, 4)
         assert all(s.frontier is start.frontier for s in sessions)
 
+    def test_a_transition_between_stored_frontiers_is_kept_at_a_full_cap(self, monkeypatch):
+        # F0 = {(a + b)*} has 4 nodes and F1 = {eps (a + b)*} 6, so F0 -a-> F1
+        # fills a cap of 10; F0 -b-> F1 adds nothing and is still stored.
+        monkeypatch.setattr(monitor_mod, "NODE_CAP", 10)
+        monitor = Monitor(parse("(a + b)*"))
+        start = monitor.new_session()
+        step(start, "a")
+        assert (monitor.misses, monitor.kept) == (1, 10)
+        step(start, "b")
+        assert (monitor.hits, monitor.misses, monitor.kept) == (0, 2, 10)
+        step(start, "b")
+        assert (monitor.hits, monitor.misses, monitor.kept) == (1, 2, 10)
+
     @pytest.mark.parametrize("cap", [0, 40, 10**6])
     def test_admission_limits_change_no_result(self, monkeypatch, cap):
         monkeypatch.setattr(monitor_mod, "NODE_CAP", cap)
