@@ -10,11 +10,11 @@ accepted.
 Members are deduplicated by structural equality only; no smart
 constructors, no reassociation.  The closure (every expression reachable
 over all words) is finite, so it can be an NFA state space.  A step
-builds its wrappers through ``make``, plain construction by default, in
-which case it calls the node classes themselves.
-:func:`.automaton.build_nfa` passes one from :func:`.syntax.builder`,
-so it finds equal states by identity; the monitor keeps the default, as
-its frontiers on long specs never recur.
+builds its wrappers by calling ``Cat`` and ``Shuffle`` themselves and
+keeps no memo: its callers, the monitor and :func:`accepts`, step one
+frontier by one event, and a long spec's frontiers never recur.
+:func:`.automaton.build_nfa` steps each state by every symbol at once
+instead, through memoized linear forms and one node builder.
 
 :func:`step_frontier` is the one walk.  It goes top down from each
 member of a frontier, and each subterm it visits carries its context:
@@ -41,8 +41,7 @@ nothing, never a member, so the result is the paper's raw relation.
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .syntax import (
     EPS,
@@ -59,24 +58,18 @@ from .syntax import (
 DEFAULT_CLOSURE_CAP = 1_000_000
 
 
-def partial_derivatives(e: Regex, symbol: Symbol, make: Callable = type.__call__) -> frozenset[Regex]:
+def partial_derivatives(e: Regex, symbol: Symbol) -> frozenset[Regex]:
     """The set of one-step partial derivatives of ``e`` by ``symbol``.
 
     ``0``, ``eps`` and mismatched symbols have no derivatives at all;
     a nullable left factor lets concatenation step into its right side.
     """
-    return step_frontier((e,), symbol, make)
+    return step_frontier((e,), symbol)
 
 
-def step_frontier(
-    frontier: Iterable[Regex], symbol: Symbol, make: Callable = type.__call__
-) -> frozenset[Regex]:
+def step_frontier(frontier: Iterable[Regex], symbol: Symbol) -> frozenset[Regex]:
     """Set-lifted single step: the union of members' partial derivatives."""
     bit = symbol_bit(symbol)
-    if make is type.__call__:  # the classes themselves: no call through type.__call__
-        cat, shuffle = Cat, Shuffle
-    else:
-        cat, shuffle = functools.partial(make, Cat), functools.partial(make, Shuffle)
     out: set[Regex] = set()
     # A context is None at a member, else (wrapper, left, right, outer):
     # ``wrapper(left, right)`` with the stepped subterm in place of the
@@ -96,7 +89,7 @@ def step_frontier(
                     if left.first & bit:
                         if left.nullable and right.first & bit:
                             stack.append((right, context))
-                        node, context = left, (cat, None, right, context)
+                        node, context = left, (Cat, None, right, context)
                     else:  # the bit came through a nullable left factor
                         node = right
                 elif kind is Or:
@@ -108,15 +101,15 @@ def step_frontier(
                     else:
                         node = right
                 elif kind is Star:
-                    node, context = node.body, (cat, None, node, context)
+                    node, context = node.body, (Cat, None, node, context)
                 else:  # Shuffle
                     left, right = node.left, node.right
                     if left.first & bit:
                         if right.first & bit:
-                            stack.append((right, (shuffle, left, None, context)))
-                        node, context = left, (shuffle, None, right, context)
+                            stack.append((right, (Shuffle, left, None, context)))
+                        node, context = left, (Shuffle, None, right, context)
                     else:
-                        node, context = right, (shuffle, left, None, context)
+                        node, context = right, (Shuffle, left, None, context)
                 kind = type(node)
             if node.name == symbol:
                 d: Regex = EPS

@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from derivmon.automaton import Nfa, build_nfa
 from derivmon.corpus import file_descriptor_spec
 from derivmon.errors import CapacityError
-from derivmon.syntax import parse, subterms
+from derivmon.partial import partial_derivatives
+from derivmon.syntax import alphabet, has_eps, parse, subterms
 from strategies import regexes
 
 
@@ -57,19 +59,46 @@ class TestBuildNfa:
     @given(regexes(max_leaves=6))
     @settings(max_examples=60)
     def test_transitions_mirror_partial_derivatives_and_finals_nullability(self, e):
-        from derivmon.partial import partial_derivatives
-        from derivmon.syntax import alphabet, has_eps
+        assert_mirrors_partial_derivatives(e)
 
-        nfa = build_nfa(e)
-        assert len(set(nfa.states)) == len(nfa.states)
-        listed = {}
-        for source, symbol, target in nfa.transitions:
-            listed.setdefault((source, symbol), set()).add(nfa.states[target])
-        for index, state in enumerate(nfa.states):
-            for symbol in alphabet(e):
-                expected = partial_derivatives(state, symbol)
-                assert listed.get((index, symbol), set()) == set(expected)
-            assert (index in nfa.finals) == has_eps(state)
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a* a || a",  # a nullable concatenation whose two factors both step
+            "(a + eps) (a || b)",
+            "(a + a b)* a",
+            "(a + b) (a + (b + a)) || (a + b)*",  # union chains nested both ways
+            "a 0 || b",  # a live left factor before 0
+            "(a* || a* || a*)*",
+        ],
+    )
+    def test_linear_form_cases_mirror_partial_derivatives(self, text):
+        assert_mirrors_partial_derivatives(parse(text))
+
+    def test_large_alphabets_build_quickly(self):
+        # One step per state by every symbol at once: the work per state
+        # grows neither with the 20,000 symbols of a sequence nor with the
+        # 10,000 branches of a union.  The wall bound is generous; a build
+        # that steps each state by each symbol in turn misses it.
+        started = time.perf_counter()
+        assert len(build_nfa(parse(" ".join(f"e{i}" for i in range(20000)))).states) == 20001
+        assert len(build_nfa(parse(" + ".join(f"a b{i}" for i in range(10000)))).states) == 10002
+        assert time.perf_counter() - started < 10
+
+
+def assert_mirrors_partial_derivatives(e):
+    """Each state's transitions are its partial derivatives by each symbol,
+    and the finals are exactly the nullable states."""
+    nfa = build_nfa(e)
+    assert len(set(nfa.states)) == len(nfa.states)
+    listed = {}
+    for source, symbol, target in nfa.transitions:
+        listed.setdefault((source, symbol), set()).add(nfa.states[target])
+    for index, state in enumerate(nfa.states):
+        for symbol in alphabet(e):
+            expected = partial_derivatives(state, symbol)
+            assert listed.get((index, symbol), set()) == set(expected)
+        assert (index in nfa.finals) == has_eps(state)
 
 
 class TestNfaAccepts:

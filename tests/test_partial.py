@@ -70,10 +70,8 @@ class TestFirstMaskPruning:
     def test_equals_the_unpruned_step(self, e, frontier, a):
         expected = reference_partial_derivatives(e, a)
         assert partial_derivatives(e, a) == expected
-        assert partial_derivatives(e, a, syntax.builder()) == expected
         expected = frozenset().union(*(reference_partial_derivatives(m, a) for m in frontier))
         assert step_frontier(frontier, a) == expected
-        assert step_frontier(frontier, a, syntax.builder()) == expected
 
     @given(regexes(), steps)
     @settings(max_examples=200)
