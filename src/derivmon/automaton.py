@@ -35,8 +35,10 @@ The step is named ``partial_derivatives`` like
 every symbol, because the traced benchmark times the build's steps by
 rebinding that module-level name.
 
-Acceptance steps over per-symbol rows of successors (one pointer per
-symbol and state), so a one-state subset steps by one list index.
+The build keeps each state's grouped steps as its successor map,
+``symbol -> target indices``, and acceptance walks these maps, so its
+memory stays linear in the transitions: a one-state subset steps by one
+dict lookup.  The transition list is derived from the maps on first use.
 """
 
 from __future__ import annotations
@@ -55,35 +57,43 @@ Pairs = list[tuple[Symbol, Regex]]
 
 @dataclass(frozen=True)
 class Nfa:
+    """An NFA over the states it lists, numbered by their position.
+
+    ``successors[i]`` is state i's successor map: each symbol that steps
+    it, in sorted order, to the tuple of its target indices, in the order
+    :func:`build_nfa` gives them.  The maps are dicts, so ``hash(nfa)``
+    raises TypeError.
+    """
+
     states: tuple[Regex, ...]
     initial: int
-    transitions: tuple[tuple[int, Symbol, int], ...]
+    successors: tuple[dict[Symbol, tuple[int, ...]], ...]
     finals: frozenset[int]
 
     @cached_property
-    def _rows(self) -> dict[Symbol, list[tuple[int, ...]]]:
-        rows: dict[Symbol, list[tuple[int, ...]]] = {}
-        for source, symbol, target in self.transitions:
-            row = rows.get(symbol)
-            if row is None:
-                row = rows[symbol] = [()] * len(self.states)
-            row[source] += (target,)
-        return rows
+    def transitions(self) -> tuple[tuple[int, Symbol, int], ...]:
+        """Every edge ``(source, symbol, target)``, by source, then symbol,
+        then target, in the order the successor maps list them."""
+        return tuple(  # of a list: a generator fills it about a quarter slower
+            [
+                (source, symbol, target)
+                for source, row in enumerate(self.successors)
+                for symbol, targets in row.items()
+                for target in targets
+            ]
+        )
 
     def accepts(self, word: Sequence[Symbol]) -> bool:
-        """Subset simulation over per-symbol rows, built on the first call at
-        one pointer per symbol and state: a one-state subset steps by one
-        list index, a larger one by the union of its members' rows."""
-        rows = self._rows
+        """Subset simulation over the successor maps: a one-state subset
+        steps by one lookup in its state's map, a larger one by the union
+        of its members' targets."""
+        successors = self.successors
         current: tuple[int, ...] = (self.initial,)
         for symbol in word:
-            row = rows.get(symbol)
-            if row is None:
-                return False
             if len(current) == 1:
-                current = row[current[0]]
+                current = successors[current[0]].get(symbol, ())
             else:
-                current = tuple(set().union(*[row[state] for state in current]))
+                current = tuple(set().union(*[successors[state].get(symbol, ()) for state in current]))
             if not current:
                 return False
         return not self.finals.isdisjoint(current)
@@ -200,16 +210,16 @@ def build_nfa(e: Regex, *, cap: int = DEFAULT_CLOSURE_CAP) -> Nfa:
     forms: dict[int, tuple[Regex, Pairs]] = {}
     index: dict[Regex, int] = {e: 0}
     states: list[Regex] = [e]
-    transitions: list[tuple[int, Symbol, int]] = []
+    successors: list[dict[Symbol, tuple[int, ...]]] = []  # the queue yields states in index order
     queue: deque[Regex] = deque([e])
     while queue:
-        state = queue.popleft()
-        source = index[state]
-        steps = partial_derivatives(state, make, forms)
+        steps = partial_derivatives(queue.popleft(), make, forms)
+        row: dict[Symbol, tuple[int, ...]] = {}
         for symbol in sorted(steps):
             targets = steps[symbol]
             if len(targets) > 1:
                 targets = sorted(targets, key=format_regex)
+            indices = []
             for target in targets:
                 target_index = index.get(target)
                 if target_index is None:
@@ -218,6 +228,8 @@ def build_nfa(e: Regex, *, cap: int = DEFAULT_CLOSURE_CAP) -> Nfa:
                     queue.append(target)
                     if len(states) > cap:
                         raise CapacityError(f"state space exceeded {cap} states")
-                transitions.append((source, symbol, target_index))
+                indices.append(target_index)
+            row[symbol] = tuple(indices)
+        successors.append(row)
     finals = frozenset(i for i, state in enumerate(states) if state.nullable)
-    return Nfa(tuple(states), 0, tuple(transitions), finals)
+    return Nfa(tuple(states), 0, tuple(successors), finals)

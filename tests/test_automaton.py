@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -78,11 +79,17 @@ class TestBuildNfa:
     def test_large_alphabets_build_quickly(self):
         # One step per state by every symbol at once: the work per state
         # grows neither with the 20,000 symbols of a sequence nor with the
-        # 10,000 branches of a union.  The wall bound is generous; a build
-        # that steps each state by each symbol in turn misses it.
+        # 10,000 branches of a union, and acceptance walks the build's
+        # successor maps.  The wall bound is generous; a build that steps
+        # each state by each symbol in turn misses it.
         started = time.perf_counter()
-        assert len(build_nfa(parse(" ".join(f"e{i}" for i in range(20000)))).states) == 20001
-        assert len(build_nfa(parse(" + ".join(f"a b{i}" for i in range(10000)))).states) == 10002
+        sequence = tuple(f"e{i}" for i in range(20000))
+        nfa = build_nfa(parse(" ".join(sequence)))
+        assert len(nfa.states) == 20001
+        assert nfa.accepts(sequence)
+        nfa = build_nfa(parse(" + ".join(f"a b{i}" for i in range(10000))))
+        assert len(nfa.states) == 10002
+        assert nfa.accepts(("a", "b9999"))
         assert time.perf_counter() - started < 10
 
 
@@ -110,6 +117,20 @@ class TestNfaAccepts:
 
     def test_shuffle(self):
         assert build_nfa(parse("a0 || a1")).accepts(("a0", "a1"))
+
+    def test_memory_is_linear_in_the_transitions(self):
+        # The walk reads the build's successor maps and allocates no index
+        # of its own: one pointer per symbol and state would take about
+        # 123 MiB here, 4,000 symbols by 4,001 states.
+        sequence = tuple(f"e{i}" for i in range(4000))
+        nfa = build_nfa(parse(" ".join(sequence)))
+        tracemalloc.start()
+        try:
+            assert nfa.accepts(sequence)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestDeterminism:
@@ -139,7 +160,7 @@ def test_accepts_uses_indexed_transitions():
     nfa = Nfa(
         states=(parse("a"), parse("eps")),
         initial=0,
-        transitions=((0, "a", 1),),
+        successors=({"a": (1,)}, {}),
         finals=frozenset({1}),
     )
     assert nfa.accepts(("a",))
@@ -149,7 +170,7 @@ def test_accepts_uses_indexed_transitions():
     nfa = Nfa(
         states=tuple(parse(text) for text in ("a b + a (b + c)", "b", "b + c", "eps")),
         initial=0,
-        transitions=((0, "a", 1), (0, "a", 2), (1, "b", 3), (2, "b", 3), (2, "c", 3)),
+        successors=({"a": (1, 2)}, {"b": (3,)}, {"b": (3,), "c": (3,)}, {}),
         finals=frozenset({3}),
     )
     assert nfa.accepts(("a", "b"))
@@ -158,3 +179,19 @@ def test_accepts_uses_indexed_transitions():
     assert not nfa.accepts(("a", "a"))
     assert not nfa.accepts(())
     assert replace(nfa, initial=3).accepts(())
+    edges = [[0, "a", 1], [0, "a", 2], [1, "b", 3], [2, "b", 3], [2, "c", 3]]
+    assert nfa.transitions == tuple(map(tuple, edges))
+    assert nfa.to_json_dict()["transitions"] == edges
+    # A deterministic step by `x` before the two-state subset, which then
+    # steps by `b` to one state and goes on by `d` from there.
+    texts = ("x (a b d + a (b + c) d)", "a b d + a (b + c) d", "b d", "(b + c) d", "d", "eps")
+    nfa = Nfa(
+        states=tuple(parse(text) for text in texts),
+        initial=0,
+        successors=({"x": (1,)}, {"a": (2, 3)}, {"b": (4,)}, {"b": (4,), "c": (4,)}, {"d": (5,)}, {}),
+        finals=frozenset({5}),
+    )
+    assert nfa.accepts(("x", "a", "b", "d"))
+    assert nfa.accepts(("x", "a", "c", "d"))
+    assert not nfa.accepts(("x", "a", "b"))
+    assert not nfa.accepts(("x", "a", "b", "d", "d"))

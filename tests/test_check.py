@@ -165,5 +165,5 @@ class TestBoundsProblem:
         # Both states are within the caps of the first, and the edge keeps
         # height + budget at 2 while size + budget goes from 5 to 7.
         source, target = parse("a b c"), parse("(a + b) (c + a)")
-        nfa = Nfa((source, target), 0, ((0, "a", 1),), frozenset())
+        nfa = Nfa((source, target), 0, ({"a": (1,)}, {}), frozenset())
         assert bounds_problem(source, nfa) == "size invariant broken"
