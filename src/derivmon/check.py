@@ -16,7 +16,7 @@ from typing import Sequence
 from . import automaton, bounds, derivative, monitor, oracle
 from .automaton import Nfa
 from .errors import CapacityError
-from .monitor import MonitorSession, Verdict
+from .monitor import ACCEPTING, PENDING, VIOLATION, MonitorSession
 from .syntax import Regex, Symbol, Word, alphabet
 
 
@@ -91,8 +91,7 @@ def agreement_problem(e: Regex, nfa: Nfa, symbols: Sequence[Symbol], max_len: in
         elif accepting != member:
             found = "partial derivatives disagree"
         elif (
-            session.verdict
-            is not (Verdict.ACCEPTING if member else Verdict.PENDING if frontier else Verdict.VIOLATION)
+            session.verdict is not (ACCEPTING if member else PENDING if frontier else VIOLATION)
             or session.max_size_seen != max_size
             or session.max_height_seen != max_height
             or max_size > s_cap

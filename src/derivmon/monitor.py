@@ -27,6 +27,16 @@ frontier add no nodes.  The bounds change no result, only its cost.
 A long sequence specification's frontiers never recur, so its trace
 fills the node bound within a few events and stores nothing more.
 
+Each monitor holds a :func:`.syntax.builder`, and a miss rebuilds its
+members' wrappers through it.  So a frontier equal to a stored one holds
+the very same member objects, and the table lookups that follow match
+on identity, with no structural comparison of trees; a rebuilt wrapper
+is a dict hit, not a new node.  The monitor drops the builder at the
+first transition its table refuses to store.  Until then a miss builds
+new nodes only for a frontier the table then stores, so the builder
+holds about what the table holds; and a long sequence specification,
+whose frontiers never recur, stops paying for a builder it cannot use.
+
 The paper's budgets bound each member, and ``TraceStats.max_size`` and
 ``max_height`` report the largest one.  The frontier as a whole is not
 bounded by them: ``(a* || a* || a*)*`` after ``a a a`` holds 7 members
@@ -49,7 +59,7 @@ from typing import Callable, Sequence
 
 from .bounds import height_budget, size_budget
 from .partial import step_frontier
-from .syntax import Regex, Symbol, has_eps, height, size
+from .syntax import Regex, Symbol, builder, has_eps, height, size
 
 NODE_CAP = 1 << 14
 
@@ -58,6 +68,11 @@ class Verdict(Enum):
     ACCEPTING = "ACCEPTING"
     PENDING = "PENDING"
     VIOLATION = "VIOLATION"
+
+
+# The members as plain module names: reading one costs a global lookup,
+# reading ``Verdict.ACCEPTING`` a far slower enum attribute lookup.
+ACCEPTING, PENDING, VIOLATION = Verdict.ACCEPTING, Verdict.PENDING, Verdict.VIOLATION
 
 
 # Next frontier, its largest member's size and height, and its verdict.
@@ -73,7 +88,7 @@ class Monitor:
     caller owns it.
     """
 
-    __slots__ = ("spec", "hits", "misses", "kept", "_table", "_frontiers")
+    __slots__ = ("spec", "hits", "misses", "kept", "_table", "_frontiers", "_make")
 
     def __init__(self, spec: Regex) -> None:
         self.spec = spec
@@ -82,19 +97,20 @@ class Monitor:
         self.kept = 0
         self._table: dict[tuple[frozenset[Regex], Symbol], _Transition] = {}
         self._frontiers: dict[frozenset[Regex], frozenset[Regex]] = {}
+        self._make: Callable[[type, Regex, Regex], Regex] | None = builder()
 
     def new_session(self) -> MonitorSession:
         """A session at the start of a trace, sharing this monitor's table."""
-        verdict = Verdict.ACCEPTING if has_eps(self.spec) else Verdict.PENDING
+        verdict = ACCEPTING if has_eps(self.spec) else PENDING
         return MonitorSession(
             self, frozenset({self.spec}), 0, size(self.spec), height(self.spec), verdict
         )
 
     def _miss(self, frontier: frozenset[Regex], event: Symbol) -> _Transition:
         self.misses += 1
-        after = step_frontier(frontier, event)
+        after = step_frontier(frontier, event, self._make)
         nodes = max_size = max_height = 0
-        verdict = Verdict.PENDING if after else Verdict.VIOLATION
+        verdict = PENDING if after else VIOLATION
         for e in after:
             nodes += e.size
             if e.size > max_size:
@@ -102,19 +118,23 @@ class Monitor:
             if e.height > max_height:
                 max_height = e.height
             if e.nullable:
-                verdict = Verdict.ACCEPTING
+                verdict = ACCEPTING
+        # Each return that stores nothing releases the builder (module docstring).
         if len(self._table) >= NODE_CAP:
+            self._make = None
             return after, max_size, max_height, verdict
         frontiers = self._frontiers
         stored_after = frontiers.get(after)
         kept = self.kept if stored_after is not None else self.kept + nodes
         if kept > NODE_CAP:  # charging the source end below only adds
+            self._make = None
             return after, max_size, max_height, verdict
         stored_from = frontiers.get(frontier)
         # A self-loop from a new frontier stores, and charges, one frontier.
         if stored_from is None and after != frontier:
             kept += sum([e.size for e in frontier])
             if kept > NODE_CAP:
+                self._make = None
                 return after, max_size, max_height, verdict
         self.kept = kept
         # Both ends become the stored objects, so that the session stepping

@@ -10,9 +10,10 @@ accepted.
 Members are deduplicated by structural equality only; no smart
 constructors, no reassociation.  The closure (every expression reachable
 over all words) is finite, so it can be an NFA state space.  A step
-builds its wrappers by calling ``Cat`` and ``Shuffle`` themselves and
-keeps no memo: its callers, the monitor and :func:`accepts`, step one
-frontier by one event, and a long spec's frontiers never recur.
+keeps no memo of its own.  It builds its wrappers through the node
+builder its caller passes, the monitor's :func:`.syntax.builder`, so
+that a member equal to one built before is that very object; without
+one, as in :func:`accepts`, it calls ``Cat`` and ``Shuffle`` themselves.
 :func:`.automaton.build_nfa` steps each state by every symbol at once
 instead, through memoized linear forms and one node builder.
 
@@ -41,7 +42,7 @@ nothing, never a member, so the result is the paper's raw relation.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .syntax import (
     EPS,
@@ -67,8 +68,16 @@ def partial_derivatives(e: Regex, symbol: Symbol) -> frozenset[Regex]:
     return step_frontier((e,), symbol)
 
 
-def step_frontier(frontier: Iterable[Regex], symbol: Symbol) -> frozenset[Regex]:
-    """Set-lifted single step: the union of members' partial derivatives."""
+def step_frontier(
+    frontier: Iterable[Regex],
+    symbol: Symbol,
+    make: Callable[[type, Regex, Regex], Regex] | None = None,
+) -> frozenset[Regex]:
+    """Set-lifted single step: the union of members' partial derivatives.
+
+    Each member's wrappers are rebuilt through ``make(kind, left, right)``,
+    a :func:`.syntax.builder`, when one is given, else by ``Cat`` and
+    ``Shuffle`` themselves."""
     bit = symbol_bit(symbol)
     out: set[Regex] = set()
     # A context is None at a member, else (wrapper, left, right, outer):
@@ -113,9 +122,14 @@ def step_frontier(frontier: Iterable[Regex], symbol: Symbol) -> frozenset[Regex]
                 kind = type(node)
             if node.name == symbol:
                 d: Regex = EPS
-                while context is not None:
-                    wrapper, left, right, context = context
-                    d = wrapper(d, right) if left is None else wrapper(left, d)
+                if make is None:
+                    while context is not None:
+                        wrapper, left, right, context = context
+                        d = wrapper(d, right) if left is None else wrapper(left, d)
+                else:
+                    while context is not None:
+                        wrapper, left, right, context = context
+                        d = make(wrapper, d, right) if left is None else make(wrapper, left, d)
                 out.add(d)
             if not stack:
                 break

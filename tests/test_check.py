@@ -7,7 +7,7 @@ from derivmon import bounds, derivative, monitor, partial
 from derivmon.automaton import Nfa, build_nfa
 from derivmon.check import agreement_problem, bounds_problem, problem
 from derivmon.corpus import GenConfig, file_descriptor_spec, gen_corpus
-from derivmon.syntax import Empty, alphabet, height, parse, size
+from derivmon.syntax import Empty, Or, alphabet, height, parse, size
 from strategies import regexes
 
 
@@ -51,11 +51,31 @@ def test_agreement_problem_names_an_nfa_that_disagrees():
 
 
 def test_agreement_problem_names_a_frontier_that_disagrees(monkeypatch):
-    monkeypatch.setattr(monitor, "step_frontier", lambda frontier, event: frozenset())
+    monkeypatch.setattr(monitor, "step_frontier", lambda frontier, event, make=None: frozenset())
     e = parse("a*")
     assert agreement_problem(e, build_nfa(e), ("a",), 2) == (
         "partial derivatives disagree with oracle on ('a',)"
     )
+
+
+@pytest.mark.parametrize("text", ["a b", "(a b)*", "a* || b"])
+def test_problem_compares_the_monitor_members_with_the_budgets(monkeypatch, text):
+    # Each member becomes d + d + ... past size 200: the same language,
+    # nullability and first mask, so only the comparisons of the largest size
+    # and height with the budgets of e can see it.  The NFA is built from
+    # linear forms, not through this step, so no other check can.
+    step = monitor.step_frontier
+
+    def bloated(frontier, event, make=None):
+        out = set()
+        for d in step(frontier, event):
+            while d.size <= 200:
+                d = Or(d, d)
+            out.add(d)
+        return frozenset(out)
+
+    monkeypatch.setattr(monitor, "step_frontier", bloated)
+    assert problem(parse(text), 3) == "monitor disagrees with oracle on ('a',)"
 
 
 def test_agreement_problem_names_the_shortest_word_a_stale_verdict_breaks(monkeypatch):

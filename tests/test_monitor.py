@@ -14,7 +14,7 @@ from derivmon.monitor import (
     step,
 )
 from derivmon.oracle import shuffle_words
-from derivmon.syntax import EPS, Cat, parse
+from derivmon.syntax import EPS, Cat, Regex, parse
 from strategies import regexes, words
 
 
@@ -269,6 +269,22 @@ class TestMonitorCache:
         assert (monitor.hits, monitor.misses, monitor.kept) == (0, 2, 10)
         step(start, "b")
         assert (monitor.hits, monitor.misses, monitor.kept) == (1, 2, 10)
+
+    @pytest.mark.parametrize(
+        "text, trace, counts",
+        [
+            ("(o a* c)* || (p q)*", "o a a c p q o c p o a q c p q".split() * 50, (735, 15, 186)),
+            ("a* || b* || c*", "a b c b a c c b a".split() * 20, (174, 6, 44)),
+        ],
+    )
+    def test_a_recurring_frontier_is_found_by_identity(self, monkeypatch, text, trace, counts):
+        # Misses build through the monitor's builder, so a frontier equal to a
+        # stored one holds the very same members and no lookup compares trees.
+        calls, eq = [], Regex.__eq__
+        monkeypatch.setattr(Regex, "__eq__", lambda self, other: calls.append(1) or eq(self, other))
+        _, stats = run_trace(parse(text), trace)
+        assert len(calls) == 0
+        assert (stats.cache_hits, stats.cache_misses, stats.cache_kept) == counts
 
     @pytest.mark.parametrize("cap", [0, 40, 10**6])
     def test_admission_limits_change_no_result(self, monkeypatch, cap):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from derivmon import partial, syntax
@@ -66,12 +66,20 @@ class TestFirstMaskPruning:
         assert partial_derivatives(parse("a* || b"), "\udc80") == frozenset()
 
     @given(regexes(), st.lists(regexes(), min_size=1, max_size=3), steps)
+    # Nullable concatenations whose two factors both read the symbol.
+    @example(parse("(eps + a) a"), [parse("(eps + a) a")], "a")
+    @example(parse("a* (a + b)"), [parse("a* (a + b)")], "a")
     @settings(max_examples=200)
     def test_equals_the_unpruned_step(self, e, frontier, a):
         expected = reference_partial_derivatives(e, a)
         assert partial_derivatives(e, a) == expected
         expected = frozenset().union(*(reference_partial_derivatives(m, a) for m in frontier))
         assert step_frontier(frontier, a) == expected
+        # Through one builder, a second step returns the very same members.
+        make = syntax.builder()
+        built = step_frontier(frontier, a, make)
+        assert built == expected
+        assert set(map(id, step_frontier(frontier, a, make))) == set(map(id, built))
 
     @given(regexes(), steps)
     @settings(max_examples=200)
