@@ -7,7 +7,9 @@ number of states can explode (n interleaved three-event sessions need
 
 Construction is breadth-first with successors ordered by their rendered
 text, so state numbering, transition order, and every serialization are
-stable across runs.
+stable across runs.  A build raises :class:`.errors.CapacityError` past
+``cap`` states, ``DEFAULT_CLOSURE_CAP`` unless its caller gives one;
+:func:`.partial.closure` is a build's states under the same cap.
 
 A build steps each new state once, by every symbol at once, through its
 linear form (Antimirov 1996): the list of its ``(symbol, partial
@@ -49,8 +51,9 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import CapacityError
-from .partial import DEFAULT_CLOSURE_CAP
 from .syntax import EPS, Cat, Or, Regex, Shuffle, Star, Sym, Symbol, builder, format_regex
+
+DEFAULT_CLOSURE_CAP = 1_000_000
 
 Pairs = list[tuple[Symbol, Regex]]
 

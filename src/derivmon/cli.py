@@ -204,8 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         help=f"check every word up to this length, at most {oracle.DEFAULT_MAX_LEN_GUARD}; each"
-        " added symbol costs about 4x in time and 3x in memory (20 expressions with --shuffle:"
-        " 0.11 s and 20 MiB at 6, 1.8 s and 68 MiB at 8)",
+        " added symbol costs about 4x in time and 3x in memory (measured figures: README, fuzz table)",
     )
     p.set_defaults(func=_cmd_fuzz)
 

@@ -1,10 +1,10 @@
 """Online trace monitoring by frontier rewriting.
 
-A session keeps the set of partial derivatives of its specification by
-the events consumed so far, and the :class:`Monitor` it was opened
-from.  Each event rewrites that frontier in place-free fashion:
-``step`` returns a new session, so sessions can be shared freely and
-stepped independently.
+A session, a :class:`MonitorSession` record, keeps the set of partial
+derivatives of its specification by the events consumed so far, and the
+:class:`Monitor` it was opened from.  Each event rewrites that frontier
+in place-free fashion: ``step`` returns a new session, so sessions can
+be shared freely and stepped independently.
 
 A ``Monitor`` is the partial-derivative automaton of one specification,
 determinized on demand.  It remembers transitions ``(frontier, event)
@@ -148,30 +148,23 @@ class Monitor:
         return found
 
 
+@dataclass(slots=True, eq=False)
 class MonitorSession:
     """One trace's position: its monitor, frontier, verdict and counters.
 
     Immutable by convention, like expression nodes: ``step`` builds a
-    new session and nothing assigns to a built one.
+    new session and nothing assigns to a built one.  Not frozen, because
+    a frozen dataclass's ``__init__`` assigns through ``object.__setattr__``,
+    which ``step`` would pay on every event; ``eq=False`` keeps identity
+    equality and hashing.
     """
 
-    __slots__ = ("monitor", "frontier", "events_seen", "max_size_seen", "max_height_seen", "verdict")
-
-    def __init__(
-        self,
-        monitor: Monitor,
-        frontier: frozenset[Regex],
-        events_seen: int,
-        max_size_seen: int,
-        max_height_seen: int,
-        verdict: Verdict,
-    ) -> None:
-        self.monitor = monitor
-        self.frontier = frontier
-        self.events_seen = events_seen
-        self.max_size_seen = max_size_seen
-        self.max_height_seen = max_height_seen
-        self.verdict = verdict
+    monitor: Monitor
+    frontier: frozenset[Regex]
+    events_seen: int
+    max_size_seen: int
+    max_height_seen: int
+    verdict: Verdict
 
 
 def new_session(spec: Regex) -> MonitorSession:

@@ -9,13 +9,14 @@ accepted.
 
 Members are deduplicated by structural equality only; no smart
 constructors, no reassociation.  The closure (every expression reachable
-over all words) is finite, so it can be an NFA state space.  A step
-keeps no memo of its own.  It builds its wrappers through the node
+over all words) is finite, so it can be an NFA state space: :func:`closure`
+is the states of :func:`.automaton.build_nfa`, under the build's cap.  A
+step keeps no memo of its own.  It builds its wrappers through the node
 builder its caller passes, the monitor's :func:`.syntax.builder`, so
 that a member equal to one built before is that very object; without
 one, as in :func:`accepts`, it calls ``Cat`` and ``Shuffle`` themselves.
-:func:`.automaton.build_nfa` steps each state by every symbol at once
-instead, through memoized linear forms and one node builder.
+The NFA build steps each state by every symbol at once instead, through
+memoized linear forms and one node builder.
 
 :func:`step_frontier` is the one walk.  It goes top down from each
 member of a frontier, and each subterm it visits carries its context:
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
+from .automaton import DEFAULT_CLOSURE_CAP, build_nfa
 from .syntax import (
     EPS,
     Cat,
@@ -55,8 +57,6 @@ from .syntax import (
     Symbol,
     symbol_bit,
 )
-
-DEFAULT_CLOSURE_CAP = 1_000_000
 
 
 def partial_derivatives(e: Regex, symbol: Symbol) -> frozenset[Regex]:
@@ -160,6 +160,4 @@ def closure(e: Regex, *, cap: int = DEFAULT_CLOSURE_CAP) -> frozenset[Regex]:
     operands (4**n for ``file_descriptor_spec(n)``, over the default
     ``cap`` at n = 10), so ``cap`` bounds the search.
     """
-    from .automaton import build_nfa  # automaton imports this module
-
     return frozenset(build_nfa(e, cap=cap).states)

@@ -60,22 +60,27 @@ def test_agreement_problem_names_a_frontier_that_disagrees(monkeypatch):
 
 @pytest.mark.parametrize("text", ["a b", "(a b)*", "a* || b"])
 def test_problem_compares_the_monitor_members_with_the_budgets(monkeypatch, text):
-    # Each member becomes d + d + ... past size 200: the same language,
-    # nullability and first mask, so only the comparisons of the largest size
-    # and height with the budgets of e can see it.  The NFA is built from
-    # linear forms, not through this step, so no other check can.
+    # Each wrapping keeps the language, nullability and first mask, so only
+    # the comparisons of the largest size and height with the budgets of e
+    # can see it: d + d + ... past size 200 breaks both budgets, and
+    # (d + 0) + 0, two levels higher and 4 nodes larger, the height budget
+    # alone.  The NFA is built from linear forms, not through this step, so
+    # no other check can.
+    def bloated(d):
+        while d.size <= 200:
+            d = Or(d, d)
+        return d
+
+    def raised(d):
+        return Or(Or(d, Empty()), Empty())
+
+    def wrapped(frontier, event, make=None):
+        return frozenset(map(wrap, step(frontier, event)))
+
     step = monitor.step_frontier
-
-    def bloated(frontier, event, make=None):
-        out = set()
-        for d in step(frontier, event):
-            while d.size <= 200:
-                d = Or(d, d)
-            out.add(d)
-        return frozenset(out)
-
-    monkeypatch.setattr(monitor, "step_frontier", bloated)
-    assert problem(parse(text), 3) == "monitor disagrees with oracle on ('a',)"
+    monkeypatch.setattr(monitor, "step_frontier", wrapped)
+    for wrap in (bloated, raised):
+        assert problem(parse(text), 3) == "monitor disagrees with oracle on ('a',)", wrap.__name__
 
 
 def test_agreement_problem_names_the_shortest_word_a_stale_verdict_breaks(monkeypatch):
