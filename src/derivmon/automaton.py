@@ -37,15 +37,17 @@ The step is named ``partial_derivatives`` like
 every symbol, because the traced benchmark times the build's steps by
 rebinding that module-level name.
 
-The build keeps each state's grouped steps as its successor map,
-``symbol -> target indices``, and acceptance walks these maps, so its
-memory stays linear in the transitions: a one-state subset steps by one
-dict lookup.  The transition list is derived from the maps on first use.
+The build keeps each state's grouped steps as its successor map, one int
+per symbol: a lone target's index, or ``~k`` for the tuple of two or more
+targets that the build interns once as ``Nfa.choices[k]``.  Acceptance
+walks these maps, so its memory stays linear in the transitions, and a
+one-state subset steps by one dict lookup and a sign test per event, as
+in RE2's DFA (Cox, "Regular Expression Matching in the Wild", 2010).
+The transition list is derived from the maps on first use.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -63,43 +65,72 @@ class Nfa:
     """An NFA over the states it lists, numbered by their position.
 
     ``successors[i]`` is state i's successor map: each symbol that steps
-    it, in sorted order, to the tuple of its target indices, in the order
-    :func:`build_nfa` gives them.  The maps are dicts, so ``hash(nfa)``
-    raises TypeError.
+    it, in sorted order, to one int.  An entry ``t >= 0`` is the one
+    target's index; an entry ``~k`` (negative) names ``choices[k]``, the
+    tuple of two or more target indices, in the order :func:`build_nfa`
+    gives them.  ``choices[0]`` is ``()``, which a missing symbol reads
+    as through ``.get(symbol, -1)``.  The maps are dicts, so
+    ``hash(nfa)`` raises TypeError.
     """
 
     states: tuple[Regex, ...]
     initial: int
-    successors: tuple[dict[Symbol, tuple[int, ...]], ...]
+    successors: tuple[dict[Symbol, int], ...]
     finals: frozenset[int]
+    choices: tuple[tuple[int, ...], ...] = ((),)
 
     @cached_property
     def transitions(self) -> tuple[tuple[int, Symbol, int], ...]:
         """Every edge ``(source, symbol, target)``, by source, then symbol,
-        then target, in the order the successor maps list them."""
-        return tuple(  # of a list: a generator fills it about a quarter slower
-            [
-                (source, symbol, target)
-                for source, row in enumerate(self.successors)
-                for symbol, targets in row.items()
-                for target in targets
-            ]
-        )
+        then target, in the order the successor maps list them: a choice
+        entry expands to one edge per member of its tuple."""
+        choices = self.choices
+        edges: list[tuple[int, Symbol, int]] = []
+        append = edges.append
+        for source, row in enumerate(self.successors):
+            for symbol, target in row.items():
+                if target >= 0:
+                    append((source, symbol, target))
+                else:
+                    for member in choices[~target]:
+                        append((source, symbol, member))
+        return tuple(edges)
 
     def accepts(self, word: Sequence[Symbol]) -> bool:
-        """Subset simulation over the successor maps: a one-state subset
-        steps by one lookup in its state's map, a larger one by the union
-        of its members' targets."""
-        successors = self.successors
-        current: tuple[int, ...] = (self.initial,)
-        for symbol in word:
-            if len(current) == 1:
-                current = successors[current[0]].get(symbol, ())
+        """Subset simulation over the successor maps.  A one-state subset
+        steps by one lookup in its state's map and a sign test; past a
+        choice entry the subset steps by the union of its members'
+        targets, and when that narrows to one state the walk returns to
+        the one-lookup step."""
+        successors, choices = self.successors, self.choices
+        symbols = iter(word)
+        state = self.initial
+        while True:
+            for symbol in symbols:
+                state = successors[state].get(symbol, -1)
+                if state < 0:
+                    break
             else:
-                current = tuple(set().union(*[successors[state].get(symbol, ()) for state in current]))
-            if not current:
+                return state in self.finals
+            subset = choices[~state]
+            if not subset:
                 return False
-        return not self.finals.isdisjoint(current)
+            for symbol in symbols:
+                stepped: set[int] = set()
+                for member in subset:
+                    target = successors[member].get(symbol, -1)
+                    if target >= 0:
+                        stepped.add(target)
+                    else:
+                        stepped.update(choices[~target])
+                if len(stepped) < 2:
+                    break
+                subset = stepped
+            else:
+                return not self.finals.isdisjoint(subset)
+            if not stepped:
+                return False
+            state = stepped.pop()
 
     def to_json_dict(self) -> dict:
         return {
@@ -126,13 +157,20 @@ class Nfa:
         return "\n".join(lines)
 
 
+def _form(node: Regex, forms: dict[int, tuple[Regex, Pairs]]) -> Pairs:
+    """A live child's memoized form; a symbol's is read in place."""
+    return [(node.name, EPS)] if type(node) is Sym else forms[id(node)][1]
+
+
 def partial_derivatives(
     state: Regex, make: Callable[[type, Regex, Regex], Regex], forms: dict[int, tuple[Regex, Pairs]]
-) -> dict[Symbol, set[Regex]]:
+) -> dict[Symbol, Regex | list[Regex]]:
     """The partial derivatives of ``state`` by every symbol at once: its
-    linear form, grouped per symbol into sets of structurally distinct
-    members.  ``forms`` is the build's memo, ``id(node) -> (node, pairs)``,
-    and ``make`` its node builder.
+    linear form, grouped per symbol.  A symbol with one distinct member
+    maps to that member; a list is made only when a second distinct
+    member appears, and may repeat members after those two.  ``forms`` is
+    the build's memo, ``id(node) -> (node, pairs)``, and ``make`` its
+    node builder.
 
     The walk has no recursion: a node stays on its stack until the forms
     of its live children are known, pushing the missing ones above itself
@@ -144,10 +182,6 @@ def partial_derivatives(
     elif not state.first:  # no symbol steps it: every node walked below has a bit
         pairs = []
     else:
-
-        def form(node: Regex) -> Pairs:
-            return [(node.name, EPS)] if type(node) is Sym else forms[id(node)][1]
-
         stack = [state]
         while stack:
             node = stack[-1]
@@ -179,31 +213,33 @@ def partial_derivatives(
             stack.pop()
             if kind is Cat:
                 left, right = node.left, node.right
-                pairs = [(s, make(Cat, d, right)) for s, d in form(left)] if left.first else []
+                pairs = [(s, make(Cat, d, right)) for s, d in _form(left, forms)] if left.first else []
                 if left.nullable and right.first:
-                    pairs += form(right)
+                    pairs += _form(right, forms)
             elif kind is Shuffle:
                 left, right = node.left, node.right
-                pairs = [(s, make(Shuffle, d, right)) for s, d in form(left)] if left.first else []
+                pairs = [(s, make(Shuffle, d, right)) for s, d in _form(left, forms)] if left.first else []
                 if right.first:
-                    pairs += [(s, make(Shuffle, left, d)) for s, d in form(right)]
+                    pairs += [(s, make(Shuffle, left, d)) for s, d in _form(right, forms)]
             elif kind is Or:
                 pairs = []
                 for leaf in parts:
-                    pairs += form(leaf)
+                    pairs += _form(leaf, forms)
             elif kind is Star:
-                pairs = [(s, make(Cat, d, node)) for s, d in form(node.body)]
+                pairs = [(s, make(Cat, d, node)) for s, d in _form(node.body, forms)]
             else:
                 pairs = [(node.name, EPS)]
             if node is not state:
                 forms[id(node)] = (node, pairs)
-    steps: dict[Symbol, set[Regex]] = {}
+    steps: dict[Symbol, Regex | list[Regex]] = {}
     for symbol, d in pairs:
-        targets = steps.get(symbol)
-        if targets is None:
-            steps[symbol] = {d}
-        else:
-            targets.add(d)
+        known = steps.get(symbol)
+        if known is None:
+            steps[symbol] = d
+        elif type(known) is list:
+            known.append(d)
+        elif known is not d and known != d:
+            steps[symbol] = [known, d]
     return steps
 
 
@@ -212,27 +248,34 @@ def build_nfa(e: Regex, *, cap: int = DEFAULT_CLOSURE_CAP) -> Nfa:
     make = builder()
     forms: dict[int, tuple[Regex, Pairs]] = {}
     index: dict[Regex, int] = {e: 0}
-    states: list[Regex] = [e]
-    successors: list[dict[Symbol, tuple[int, ...]]] = []  # the queue yields states in index order
-    queue: deque[Regex] = deque([e])
-    while queue:
-        steps = partial_derivatives(queue.popleft(), make, forms)
-        row: dict[Symbol, tuple[int, ...]] = {}
+    states: list[Regex] = [e]  # also the queue: the loop reaches each state as it is appended
+    successors: list[dict[Symbol, int]] = []
+    choices: list[tuple[int, ...]] = [()]
+    choice_index: dict[tuple[int, ...], int] = {(): 0}
+    for state in states:
+        steps = partial_derivatives(state, make, forms)
+        row: dict[Symbol, int] = {}
         for symbol in sorted(steps):
             targets = steps[symbol]
-            if len(targets) > 1:
-                targets = sorted(targets, key=format_regex)
-            indices = []
+            if type(targets) is not list:
+                targets = (targets,)
+            else:
+                targets = sorted(set(targets), key=format_regex)
             for target in targets:
                 target_index = index.get(target)
                 if target_index is None:
                     target_index = index[target] = len(states)
                     states.append(target)
-                    queue.append(target)
                     if len(states) > cap:
                         raise CapacityError(f"state space exceeded {cap} states")
-                indices.append(target_index)
-            row[symbol] = tuple(indices)
+                row[symbol] = target_index  # the entry of a lone target
+            if len(targets) > 1:  # two or more: the entry names their interned tuple
+                key = tuple([index[target] for target in targets])
+                k = choice_index.get(key)
+                if k is None:
+                    k = choice_index[key] = len(choices)
+                    choices.append(key)
+                row[symbol] = ~k
         successors.append(row)
     finals = frozenset(i for i, state in enumerate(states) if state.nullable)
-    return Nfa(tuple(states), 0, tuple(successors), finals)
+    return Nfa(tuple(states), 0, tuple(successors), finals, tuple(choices))

@@ -114,7 +114,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     with open(args.stats, "w") if args.stats else contextlib.nullcontext() as stats_file:
         verdict, stats = run_trace(spec, trace, hook)
         if stats_file is not None:
-            stats_file.write(json.dumps(stats.to_json_dict(), indent=2) + "\n")
+            stats_file.write(json.dumps(stats.to_json_dict(), separators=(",", ":")) + "\n")
     print(verdict.value)
     return _VERDICT_EXIT[verdict]
 

@@ -10,7 +10,7 @@ from derivmon.corpus import file_descriptor_spec
 from derivmon.errors import CapacityError
 from derivmon.partial import partial_derivatives
 from derivmon.syntax import alphabet, has_eps, parse, subterms
-from strategies import regexes
+from strategies import regexes, words
 
 
 class TestBuildNfa:
@@ -48,6 +48,10 @@ class TestBuildNfa:
             + [[1, "b", 5], [2, "c", 5], [3, "d", 5], [4, "e", 5]]
             + [[5, "a", 1], [5, "a", 2], [5, "a", 3], [5, "a", 4]],
         }
+        # Both four-target steps name the one tuple the build interns.
+        nfa = build_nfa(parse(spec))
+        assert nfa.successors[0]["a"] == nfa.successors[5]["a"] == ~1
+        assert nfa.choices == ((), (1, 2, 3, 4))
 
     def test_equal_subterms_of_states_are_one_object(self):
         # One node builder per build: 365 distinct subterms (336 shuffles of
@@ -133,6 +137,38 @@ class TestNfaAccepts:
         assert peak < 8 * 2**20
 
 
+    def test_a_subset_ends_dies_or_narrows_to_one_state(self):
+        # `a` steps `a + a b` to eps and `eps b`, and `(a b + a c) d*` to
+        # two states that each step by their own symbol to one state that
+        # loops on `d`.
+        nfa = build_nfa(parse("a + a b"))
+        assert nfa.successors[0]["a"] < 0
+        assert nfa.accepts(("a",))  # the word ends in the subset
+        assert nfa.accepts(("a", "b"))
+        nfa = build_nfa(parse("(a b + a c) d*"))
+        assert len(nfa.choices[~nfa.successors[0]["a"]]) == 2
+        assert not nfa.accepts(("a", "d"))  # a dead step: neither member steps by d
+        assert not nfa.accepts(("a", "z"))  # nor by a symbol of no map
+        tail = ("d",) * 10000
+        assert nfa.accepts(("a", "b") + tail)
+        assert nfa.accepts(("a", "c") + tail)
+        assert not nfa.accepts(("a", "b") + tail + ("b",))
+        # A member of the subset {eps (b c + b d), eps e} steps by `b` to a
+        # choice of its own.
+        nfa = build_nfa(parse("a (b c + b d) + a e"))
+        assert nfa.accepts(("a", "b", "d"))
+        assert nfa.accepts(("a", "e"))
+
+    @given(regexes(alphabet=("a", "b"), max_leaves=8), words(("a", "b", "c"), max_len=8))
+    @settings(max_examples=300)
+    def test_accepts_is_a_subset_simulation_over_the_transitions(self, e, word):
+        nfa = build_nfa(e)
+        current = {nfa.initial}
+        for symbol in word:
+            current = {t for s, label, t in nfa.transitions if s in current and label == symbol}
+        assert nfa.accepts(word) == (not current.isdisjoint(nfa.finals))
+
+
 class TestDeterminism:
     def test_golden_json(self):
         nfa = build_nfa(parse("a* b*"))
@@ -160,18 +196,20 @@ def test_accepts_uses_indexed_transitions():
     nfa = Nfa(
         states=(parse("a"), parse("eps")),
         initial=0,
-        successors=({"a": (1,)}, {}),
+        successors=({"a": 1}, {}),
         finals=frozenset({1}),
     )
     assert nfa.accepts(("a",))
     assert not nfa.accepts(("a", "a"))
-    # Nondeterministic: `a` leads to a two-state subset whose members share
-    # their `b` target, and only the second member steps by `c`.
+    # Nondeterministic: `a` leads to a two-state subset, the interned
+    # choice ~1, whose members share their `b` target, and only the second
+    # member steps by `c`.
     nfa = Nfa(
         states=tuple(parse(text) for text in ("a b + a (b + c)", "b", "b + c", "eps")),
         initial=0,
-        successors=({"a": (1, 2)}, {"b": (3,)}, {"b": (3,), "c": (3,)}, {}),
+        successors=({"a": ~1}, {"b": 3}, {"b": 3, "c": 3}, {}),
         finals=frozenset({3}),
+        choices=((), (1, 2)),
     )
     assert nfa.accepts(("a", "b"))
     assert nfa.accepts(("a", "c"))
@@ -188,8 +226,9 @@ def test_accepts_uses_indexed_transitions():
     nfa = Nfa(
         states=tuple(parse(text) for text in texts),
         initial=0,
-        successors=({"x": (1,)}, {"a": (2, 3)}, {"b": (4,)}, {"b": (4,), "c": (4,)}, {"d": (5,)}, {}),
+        successors=({"x": 1}, {"a": ~1}, {"b": 4}, {"b": 4, "c": 4}, {"d": 5}, {}),
         finals=frozenset({5}),
+        choices=((), (2, 3)),
     )
     assert nfa.accepts(("x", "a", "b", "d"))
     assert nfa.accepts(("x", "a", "c", "d"))

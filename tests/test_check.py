@@ -83,6 +83,29 @@ def test_problem_compares_the_monitor_members_with_the_budgets(monkeypatch, text
         assert problem(parse(text), 3) == "monitor disagrees with oracle on ('a',)", wrap.__name__
 
 
+def test_agreement_problem_compares_the_largest_member_with_the_size_budget(monkeypatch):
+    # `a` steps e to eps, widened here to d + d + ... past the size budget
+    # (127 nodes against 72) at height 6, under the height budget of 7, so
+    # of the monitor's checks only the size comparison can see it.
+    e = parse("a + ((((b*)*)*)*)*")
+    s_cap, h_cap = bounds.size_budget(e), bounds.height_budget(e)
+    seen = []
+
+    def widened(frontier, event, make=None):
+        members = []
+        for d in step(frontier, event):
+            while d.size <= s_cap:
+                d = Or(d, d)
+            members.append(d)
+        seen.extend(members)
+        return frozenset(members)
+
+    step = monitor.step_frontier
+    monkeypatch.setattr(monitor, "step_frontier", widened)
+    assert agreement_problem(e, build_nfa(e), ("a",), 1) == "monitor disagrees with oracle on ('a',)"
+    assert [(d.size, d.height) for d in seen] == [(127, 6)] and (s_cap, h_cap) == (72, 7)
+
+
 def test_agreement_problem_names_the_shortest_word_a_stale_verdict_breaks(monkeypatch):
     step = monitor.step
 
@@ -190,5 +213,5 @@ class TestBoundsProblem:
         # Both states are within the caps of the first, and the edge keeps
         # height + budget at 2 while size + budget goes from 5 to 7.
         source, target = parse("a b c"), parse("(a + b) (c + a)")
-        nfa = Nfa((source, target), 0, ({"a": (1,)}, {}), frozenset())
+        nfa = Nfa((source, target), 0, ({"a": 1}, {}), frozenset())
         assert bounds_problem(source, nfa) == "size invariant broken"

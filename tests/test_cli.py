@@ -185,7 +185,9 @@ class TestMonitor:
         stats_path = tmp_path / "stats.json"
         code, _, _ = run_cli(capsys, "monitor", "--stats", str(stats_path), spec, trace)
         assert code == 0
-        record = json.loads(stats_path.read_text())
+        text = stats_path.read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1 and ", " not in text  # one compact line
+        record = json.loads(text)
         assert record["events"] == 2
         assert record["verdict"] == "ACCEPTING"
         assert record["maxSize"] == 7
