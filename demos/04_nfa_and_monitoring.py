@@ -43,9 +43,13 @@ print()
 
 # Closing a file before accessing it empties the frontier: no continuation
 # can repair the trace, which is exactly the violation signal.
-verdict, stats = run_trace(spec, ("o1", "c1", "o2"))
+# The monitor keeps no per-event record; on_step sees each event's session.
+history = [len(new_session(spec).frontier)]
+verdict, stats = run_trace(
+    spec, ("o1", "c1", "o2"), lambda _, session: history.append(len(session.frontier))
+)
 print("bad trace o1 c1 o2 ->", verdict.value)
-print("frontier history:   ", list(stats.frontier_history))
+print("frontier history:   ", history)
 print("space telemetry:     max size", stats.max_size, "of budget", stats.size_budget,
       "| max height", stats.max_height, "of budget", stats.height_budget)
 print("transition cache:    hits", stats.cache_hits, "| misses", stats.cache_misses)

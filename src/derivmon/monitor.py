@@ -42,6 +42,10 @@ The paper's budgets bound each member, and ``TraceStats.max_size`` and
 bounded by them: ``(a* || a* || a*)*`` after ``a a a`` holds 7 members
 of total size 150, against a size budget of 90 and a largest member of 24.
 
+``run_trace`` keeps one session and nothing per event, as the paper's
+monitor stores one derivative per step: a trace generator is read as it
+goes, and the per-event frontiers are seen only through ``on_step``.
+
 The verdict is three-valued.  An empty frontier means no correct trace
 extends the input: VIOLATION, and it is absorbing.  A nullable frontier
 member means the input itself is a correct trace: ACCEPTING.  Otherwise
@@ -55,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 from .bounds import height_budget, size_budget
 from .partial import step_frontier
@@ -197,7 +201,7 @@ def current_verdict(session: MonitorSession) -> Verdict:
 
 @dataclass(frozen=True)
 class TraceStats:
-    """End-of-trace telemetry, including the space budgets never exceeded."""
+    """End-of-trace telemetry of fixed size, with the space budgets never exceeded."""
 
     events: int
     verdict: Verdict
@@ -205,7 +209,6 @@ class TraceStats:
     max_height: int
     size_budget: int
     height_budget: int
-    frontier_history: tuple[int, ...]
     cache_hits: int
     cache_misses: int
     cache_kept: int
@@ -218,26 +221,23 @@ class TraceStats:
             "maxHeight": self.max_height,
             "sizeBudget": self.size_budget,
             "heightBudget": self.height_budget,
-            "frontierHistory": list(self.frontier_history),
             "cache": {"hits": self.cache_hits, "misses": self.cache_misses, "kept": self.cache_kept},
         }
 
 
 def run_trace(
     spec: Regex,
-    trace: Sequence[Symbol],
+    trace: Iterable[Symbol],
     on_step: Callable[[Symbol, MonitorSession], None] | None = None,
 ) -> tuple[Verdict, TraceStats]:
-    """Fold a whole trace through a session of a fresh monitor and report statistics.
+    """Fold a trace, read once, through a session of a fresh monitor and report statistics.
 
     ``on_step(event, session)``, when given, sees the session after each event.
     """
     monitor = Monitor(spec)
     session = monitor.new_session()
-    history = [len(session.frontier)]
     for event in trace:
         session = step(session, event)
-        history.append(len(session.frontier))
         if on_step is not None:
             on_step(event, session)
     stats = TraceStats(
@@ -247,7 +247,6 @@ def run_trace(
         max_height=session.max_height_seen,
         size_budget=size_budget(spec),
         height_budget=height_budget(spec),
-        frontier_history=tuple(history),
         cache_hits=monitor.hits,
         cache_misses=monitor.misses,
         cache_kept=monitor.kept,

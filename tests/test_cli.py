@@ -183,8 +183,9 @@ class TestMonitor:
         spec = self.write(tmp_path, "spec.txt", "a* b*")
         trace = self.write(tmp_path, "trace.txt", "a b")
         stats_path = tmp_path / "stats.json"
-        code, _, _ = run_cli(capsys, "monitor", "--stats", str(stats_path), spec, trace)
+        code, out, _ = run_cli(capsys, "monitor", "--step", "--stats", str(stats_path), spec, trace)
         assert code == 0
+        assert out.splitlines() == ["1 a ACCEPTING 1", "2 b ACCEPTING 1", "ACCEPTING"]
         text = stats_path.read_text()
         assert text.endswith("}\n") and text.count("\n") == 1 and ", " not in text  # one compact line
         record = json.loads(text)
@@ -193,7 +194,6 @@ class TestMonitor:
         assert record["maxSize"] == 7
         assert record["sizeBudget"] == 30
         assert record["heightBudget"] == 3
-        assert record["frontierHistory"] == [1, 1, 1]
         assert record["cache"] == {"hits": 0, "misses": 2, "kept": 16}
 
     def test_unwritable_stats_path_prints_no_verdict(self, tmp_path, capsys):
@@ -204,6 +204,20 @@ class TestMonitor:
         assert code == 3
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("step", [False, True])
+    @pytest.mark.parametrize("stats", [False, True])
+    def test_invalid_event_symbol_exits_3_before_any_output(self, tmp_path, capsys, step, stats):
+        # The trace is parsed before the stats file is opened or any event stepped.
+        spec = self.write(tmp_path, "spec.txt", "a b")
+        trace = self.write(tmp_path, "trace.txt", "a 1b")
+        stats_path = tmp_path / "stats.json"
+        flags = ["--step"] * step + ["--stats", str(stats_path)] * stats
+        code, out, err = run_cli(capsys, "monitor", *flags, spec, trace)
+        assert code == 3
+        assert out == ""
+        assert err == "error: invalid event symbol: '1b'\n"
+        assert not stats_path.exists()
 
     def test_empty_trace_file(self, tmp_path, capsys):
         spec = self.write(tmp_path, "spec.txt", "a*")

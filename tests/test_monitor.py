@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -94,17 +95,21 @@ class TestRunTrace:
         assert stats.events == 6
 
     def test_close_before_access_violates(self):
-        verdict, stats = run_trace(file_descriptor_spec(2), ("o1", "c1"))
+        sizes = []
+        verdict, _ = run_trace(
+            file_descriptor_spec(2), ("o1", "c1"), lambda _, session: sizes.append(len(session.frontier))
+        )
         assert verdict is Verdict.VIOLATION
-        assert stats.frontier_history == (1, 1, 0)
+        assert sizes == [1, 0]
 
     def test_empty_trace_matches_fresh_session(self):
         for text in ("a*", "a", "0"):
             spec = parse(text)
-            verdict, stats = run_trace(spec, ())
+            seen = []
+            verdict, stats = run_trace(spec, (), lambda event, session: seen.append(event))
             assert verdict is current_verdict(new_session(spec))
             assert stats.events == 0
-            assert stats.frontier_history == (1,)
+            assert seen == []
 
     def test_stats_json_shape(self):
         _, stats = run_trace(parse("a* b*"), ("a", "b"))
@@ -116,22 +121,34 @@ class TestRunTrace:
             "maxHeight",
             "sizeBudget",
             "heightBudget",
-            "frontierHistory",
             "cache",
         }
         assert record["verdict"] == "ACCEPTING"
-        assert record["frontierHistory"][0] == 1
         # Both misses are stored: a* b* (5 nodes), (eps a*) b* (7) and eps b* (4).
         assert record["cache"] == {"hits": 0, "misses": 2, "kept": 16}
+
+    def test_a_generator_trace_is_folded_in_constant_memory(self):
+        # 10^5 events: a list of one size per event would peak near 1.5 MiB,
+        # the fold's own state at a few KiB.
+        spec = parse("(o a* c)* || (p q)*")
+        events = (event for _ in range(20_000) for event in ("o", "a", "c", "p", "q"))
+        tracemalloc.start()
+        try:
+            verdict, stats = run_trace(spec, events)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (verdict, stats.events) == (Verdict.ACCEPTING, 100_000)
+        assert peak < 256 * 1024
 
     @given(regexes(max_leaves=6), words(max_len=4))
     @settings(max_examples=80)
     def test_on_step_sees_every_event_in_order(self, e, w):
         seen = []
-        verdict, stats = run_trace(e, w, lambda event, session: seen.append((event, session)))
+        verdict, _ = run_trace(e, w, lambda event, session: seen.append((event, session)))
         assert [event for event, _ in seen] == list(w)
         assert [session.events_seen for _, session in seen] == list(range(1, len(w) + 1))
-        assert tuple(len(session.frontier) for _, session in seen) == stats.frontier_history[1:]
+        assert [session.frontier for _, session in seen] == [s.frontier for s in fold(new_session(e), w)]
         if seen:
             assert current_verdict(seen[-1][1]) is verdict
 
@@ -141,9 +158,14 @@ LONG_N = 1200
 
 @pytest.fixture(scope="module")
 def long_sequence_run():
-    """The sequence spec e0 e1 ... e1199 monitored on its one complete trace."""
+    """The sequence spec e0 e1 ... e1199 monitored on its one complete trace:
+    its verdict, its stats and the frontier size after each event."""
     events = [f"e{i}" for i in range(LONG_N)]
-    return run_trace(parse(" ".join(events)), events)
+    sizes = []
+    verdict, stats = run_trace(
+        parse(" ".join(events)), events, lambda _, session: sizes.append(len(session.frontier))
+    )
+    return verdict, stats, sizes
 
 
 @pytest.fixture(scope="module")
@@ -180,9 +202,9 @@ class TestDeepSpecs:
 
     def test_complete_trace_of_a_long_spec_accepts(self, long_sequence_run):
         n = LONG_N
-        verdict, stats = long_sequence_run
+        verdict, _, sizes = long_sequence_run
         assert verdict is Verdict.ACCEPTING
-        assert stats.frontier_history == (1,) * (n + 1)
+        assert sizes == [1] * n
 
 
 def criterion_8_traces(count=60, seed=80908):
@@ -215,17 +237,18 @@ class TestMonitorCache:
         spec = file_descriptor_spec(2)
         shared = Monitor(spec)
         for trace in criterion_8_traces():
-            verdict, stats = run_trace(spec, trace)
+            run = []
+            verdict, _ = run_trace(spec, trace, lambda _, session: run.append(session))
             cached = fold(shared.new_session(), trace)
             fresh = fold(new_session(spec), trace)
             assert [s.frontier for s in cached] == [s.frontier for s in fresh]
             assert [current_verdict(s) for s in cached] == [current_verdict(s) for s in fresh]
-            assert (1,) + tuple(len(s.frontier) for s in cached) == stats.frontier_history
+            assert [s.frontier for s in run] == [s.frontier for s in cached]
             assert current_verdict(cached[-1]) is verdict
         assert shared.hits > shared.misses > 0
 
     def test_a_trace_of_new_frontiers_hits_nothing_within_the_cap(self, long_sequence_run):
-        _, stats = long_sequence_run
+        _, stats, _ = long_sequence_run
         assert (stats.cache_hits, stats.cache_misses) == (0, 1200)
         assert 0 < stats.cache_kept <= monitor_mod.NODE_CAP
 
