@@ -30,8 +30,9 @@ state between calls, and their callers own them too: until dropped,
 they remember what they derived or built, and their results equal
 :func:`.derivative.derive`'s, :func:`.derivative.accepts`' and the
 constructors', so that state changes only speed and identity.  (An
-acceptor's private live walk applies the ``0`` and ``eps`` identities
-and builds without a table; it returns only bools.)
+acceptor's live step applies the ``0`` and ``eps`` identities, builds
+without a table and derives only what membership reads; it returns only
+bools.)
 """
 
 from .syntax import (

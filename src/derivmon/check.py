@@ -6,7 +6,7 @@ more than one property is broken.  Every engine, the monitor included,
 is looked up through its module at call time, so a test can replace one
 and watch the check fail.  The Brzozowski check runs both walks of
 :mod:`.derivative`: the raw reference walk on the inner words of its
-word trie, and the live membership walk at the leaves.
+word trie, and the live membership step at the leaves.
 """
 
 from __future__ import annotations

@@ -17,13 +17,16 @@ and height: the form stays raw.  :func:`derive_word` runs one walk per
 word, and ``derive`` one walk per step.
 
 Membership reads only the nullability of the last derivative, so
-:func:`acceptor` returns a function that folds one live walk over each
-word it is given, and :func:`accepts` is a fresh one's call.  The live
-walk builds each node directly through :func:`_absorbing`, which
-applies the ``0`` and ``eps`` identities, and keeps no builder table; it
-derives a subterm whose ``first`` mask lacks the symbol's bit straight
-to ``0`` without visiting its children (its raw derivative has the empty
-language too).  Both rules are congruent on languages, so each live
+:func:`acceptor` returns a function that folds :func:`_live_step` over
+each word it is given, with one memo per symbol, and :func:`accepts` is
+a fresh one's call.  The live step builds each node directly through
+:func:`_absorbing`, which applies the ``0`` and ``eps`` identities, and
+keeps no builder table.  It derives only what the answer can read: a
+child whose ``first`` mask lacks the symbol's bit is ``0`` (its raw
+derivative has the empty language too), and a symbol ``eps`` or ``0``
+by its name, at once and with no memo entry; the right factor of a
+concatenation whose left factor is not nullable is not derived, its
+term being ``0``.  Both rules are congruent on languages, so each live
 derivative is language-equal to the raw one; on a sequence spec a step
 returns the spec's own suffix.  These are the module's two walks: the
 raw one is the reference, the live one decides membership, and the
@@ -56,23 +59,14 @@ def deriver() -> Callable[[Regex, Symbol], Regex]:
     caller holds it, every derivative it computed and every node it built.
     Each memo entry holds the node whose ``id`` keys it, so no key can
     outlive its node and come back for another."""
-    return _walk(live=False)
-
-
-def _walk(live: bool) -> Callable[[Regex, Symbol], Regex]:
-    """:func:`deriver`'s walk; a ``live`` one builds through :func:`_absorbing`
-    with no table, and derives a node whose ``first`` mask lacks the
-    symbol's bit to ``0`` without visiting its children.  Its results are
-    only language-equal to the raw ones: no public function may return them."""
-    # symbol -> (memo: id(node) -> (node, derivative), the symbol's bit if live else 0)
-    memos: dict[Symbol, tuple[dict[int, tuple[Regex, Regex]], int]] = {}
-    make = _absorbing if live else builder()
+    # symbol -> memo: id(node) -> (node, derivative)
+    memos: dict[Symbol, dict[int, tuple[Regex, Regex]]] = {}
+    make = builder()
 
     def derive(e: Regex, symbol: Symbol) -> Regex:
-        entry = memos.get(symbol)
-        if entry is None:
-            entry = memos[symbol] = ({}, symbol_bit(symbol) if live else 0)
-        memo, bit = entry
+        memo = memos.get(symbol)
+        if memo is None:
+            memo = memos[symbol] = {}
         stack = [e]  # a node stays on the stack until its children are derived
         while stack:
             node = stack[-1]
@@ -80,9 +74,7 @@ def _walk(live: bool) -> Callable[[Regex, Symbol], Regex]:
                 stack.pop()
                 continue
             kind = type(node)
-            if live and not node.first & bit:
-                out = EMPTY
-            elif kind is Cat or kind is Or or kind is Shuffle:
+            if kind is Cat or kind is Or or kind is Shuffle:
                 left, right = memo.get(id(node.left)), memo.get(id(node.right))
                 if left is None or right is None:
                     stack += (node.right, node.left)
@@ -114,6 +106,65 @@ def _walk(live: bool) -> Callable[[Regex, Symbol], Regex]:
     return derive
 
 
+def _live_step(e: Regex, symbol: Symbol, memo: dict[int, tuple[Regex, Regex]]) -> Regex:
+    """The live derivative of ``e`` by ``symbol``, built through :func:`_absorbing`
+    and deriving no child whose term the answer cannot read (see the module
+    docstring).
+    ``memo`` maps the ``id`` of each composite live node it derived by
+    ``symbol`` to ``(node, derivative)``.  Its results are only
+    language-equal to the raw ones: no public function may return them."""
+    bit = symbol_bit(symbol)
+    if not e.first & bit:  # 0, eps and every dead subterm
+        return EMPTY
+    if type(e) is Sym:
+        return EPS if e.name == symbol else EMPTY
+    found = memo.get(id(e))
+    if found is not None:
+        return found[1]
+    # Composite live nodes not yet in memo; each waits for the one above it,
+    # so no node is pushed twice.
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        kind = type(node)
+        left = node.body if kind is Star else node.left
+        if left.first & bit:  # a star's body always has its bit
+            if type(left) is Sym:
+                dl = EPS if left.name == symbol else EMPTY
+            else:
+                found = memo.get(id(left))
+                if found is None:
+                    stack.append(left)
+                    continue
+                dl = found[1]
+        else:
+            dl = EMPTY
+        if kind is Star:
+            out = _absorbing(Cat, dl, node)
+        else:
+            right = node.right
+            if right.first & bit and (kind is not Cat or left.nullable):
+                if type(right) is Sym:
+                    dr = EPS if right.name == symbol else EMPTY
+                else:
+                    found = memo.get(id(right))
+                    if found is None:
+                        stack.append(right)
+                        continue
+                    dr = found[1]
+            else:
+                dr = EMPTY
+            if kind is Cat:  # the raw eps d(r) is d(r); dr stayed 0 where the flag is 0
+                out = _absorbing(Or, _absorbing(Cat, dl, right), dr)
+            elif kind is Or:
+                out = _absorbing(Or, dl, dr)
+            else:
+                out = _absorbing(Or, _absorbing(Shuffle, dl, right), _absorbing(Shuffle, left, dr))
+        stack.pop()
+        memo[id(node)] = (node, out)
+    return out
+
+
 def _absorbing(kind: type, left: Regex, right: Regex) -> Regex:
     """``kind(left, right)`` behind the identities ``0 + e = e + 0 = e``,
     ``0 e = e 0 = 0 || e = e || 0 = 0`` and ``eps e = e``: it builds a node
@@ -143,13 +194,17 @@ def derive_word(e: Regex, word: Sequence[Symbol]) -> Regex:
 
 def acceptor() -> Callable[[Regex, Sequence[Symbol]], bool]:
     """A fresh :func:`accepts`, the live counterpart of :func:`deriver`: every
-    call folds the one live walk it keeps, so calls on shared subterms
-    derive each of them by each symbol once.  It returns only bools."""
-    step = _walk(live=True)
+    call folds :func:`_live_step` through one memo per symbol that the
+    acceptor keeps, so calls on shared subterms derive each of them by each
+    symbol once.  It returns only bools."""
+    memos: dict[Symbol, dict[int, tuple[Regex, Regex]]] = {}  # symbol -> _live_step's memo
 
     def accepts(e: Regex, word: Sequence[Symbol]) -> bool:
         for symbol in word:
-            e = step(e, symbol)
+            memo = memos.get(symbol)
+            if memo is None:
+                memo = memos[symbol] = {}
+            e = _live_step(e, symbol, memo)
         return e.nullable
 
     return accepts

@@ -127,7 +127,9 @@ class TestAccepts:
         assert accepts(e, word) == derive_word(e, word).nullable
 
     def test_derives_only_subterms_that_can_read_the_symbol(self):
-        live = derivative._walk(live=True)
+        def live(e, symbol):
+            return derivative._live_step(e, symbol, {})
+
         # "b a" cannot read "a": the raw step builds (0 a) + (0 eps).
         assert live(parse("b a"), "a") is EMPTY
         # The raw step by "a" builds (eps + 0) c + 0 0; the absorbing one returns c.
@@ -139,6 +141,62 @@ class TestAccepts:
             assert live(e, f"e{i}") is e.right
             e = e.right
         assert live(e, "e99") is EPS
+        # The raw step of a* by "a" builds eps a*; the absorbing one returns a*.
+        e = parse("a*")
+        assert live(e, "a") is e
+
+
+# The raw rules of reference_derive with every node built through the live
+# step's absorbing constructor: the form the live step must return.
+
+
+def absorbing_reference(e, symbol):
+    make = derivative._absorbing
+    match e:
+        case Empty() | Eps():
+            return EMPTY
+        case Sym(name):
+            return EPS if name == symbol else EMPTY
+        case Cat(left, right):
+            return make(
+                Or,
+                make(Cat, absorbing_reference(left, symbol), right),
+                make(Cat, EPS if left.nullable else EMPTY, absorbing_reference(right, symbol)),
+            )
+        case Or(left, right):
+            return make(Or, absorbing_reference(left, symbol), absorbing_reference(right, symbol))
+        case Star(body):
+            return make(Cat, absorbing_reference(body, symbol), e)
+        case Shuffle(left, right):
+            return make(
+                Or,
+                make(Shuffle, absorbing_reference(left, symbol), right),
+                make(Shuffle, left, absorbing_reference(right, symbol)),
+            )
+    raise TypeError(f"not a Regex: {e!r}")
+
+
+class TestLiveStep:
+    @given(regexes(max_leaves=12), symbols(("a", "b", "c", "x")))
+    @example(Cat(Sym("a"), Empty()), "a")
+    @example(Shuffle(Sym("a"), Empty()), "a")
+    @example(Cat(Star(Sym("a")), Sym("b")), "b")
+    @example(Star(Sym("a")), "a")
+    def test_is_the_absorbing_reference(self, e, symbol):
+        # "x" shares "a"'s first-mask bit, so a symbol leaf "a" stepped by
+        # "x" is live by its mask and must still derive to 0 by its name.
+        assert derivative._live_step(e, symbol, {}) == absorbing_reference(e, symbol)
+
+    def test_skips_the_right_factor_of_a_concatenation_that_is_not_nullable(self):
+        tower = Sym("a")
+        for _ in range(10_000):
+            tower = Star(tower)
+        e, memo = Cat(Sym("a"), tower), {}
+        assert derivative._live_step(e, "a", memo) is tower
+        # Only the concatenation itself is memoized: no node of the tower.
+        # Compare the keys alone, so a failure does not print derived trees.
+        keys = set(memo)
+        assert keys == {id(e)}
 
 
 def test_iterated_derivatives_grow_without_simplification():
