@@ -1,4 +1,5 @@
-"""NFA construction over the partial-derivative state space.
+"""NFA construction over the partial-derivative state space, and the walk
+that computes partial derivatives.
 
 States are the expressions reachable from the initial one, identified
 up to structural equality; a state is final when it is nullable.  The
@@ -11,28 +12,48 @@ stable across runs.  A build raises :class:`.errors.CapacityError` past
 ``cap`` states, ``DEFAULT_CLOSURE_CAP`` unless its caller gives one;
 :func:`.partial.closure` is a build's states under the same cap.
 
-A build steps each new state once, by every symbol at once, through its
-linear form (Antimirov 1996): the list of its ``(symbol, partial
-derivative)`` pairs.  A node's form follows from its children's: a
-symbol's is ``(a, eps)``, a concatenation wraps its left factor's pairs
-in ``Cat(., right)`` and, when the left factor is nullable, adds its
-right factor's pairs; a star wraps its body's in ``Cat(., star)``, a
-shuffle each side's in the shuffle with the other side, and a union
-joins its sides' pairs.  A child whose ``first`` mask is 0 has none.
-The build memoizes each form by the identity of its node, so a subterm
-shared by many states is walked once, and builds every wrapper through
-one :func:`.syntax.builder`, so shared subterms stay one object and a
-successor equal to a known state is almost always that state's object,
-found by identity.  A new state then costs about one wrapper per
-transition, not one walk per symbol of the alphabet.
+:func:`step_frontier` is the package's one partial-derivative walk
+(Antimirov 1996).  The monitor steps its misses through it, the build
+steps each state through it, and :mod:`.partial`, which imports the
+build, re-exports it.  It goes top down from each member of a frontier,
+and each subterm it visits carries its context: the wrappers between
+that subterm and its member.  A concatenation's left factor is wrapped
+in ``Cat(., right)``, a star's body in ``Cat(., star)``, and each side of
+a shuffle in the shuffle with the other side; a union adds no wrapper.
+A symbol that matches steps to ``eps``, and rebuilding ``eps`` outward
+through its context gives one member of the result.  The walk descends
+in place into a child whose ``first`` mask has the symbol's bit, and
+keeps a ``(subterm, context)`` pair on its stack only where a node has
+two such children: a union or shuffle whose sides both have it, or a
+nullable concatenation whose factors both have it.  A sequence spec's
+step is one path down and stacks nothing.
 
-Two kinds of form are not kept, so the memo stays linear in what the
-states hold.  A state's own form is read once, so it is grouped and
-dropped.  A union inside a chain of unions is never a node of the walk:
-the chain's top joins the forms of the chain's leaves, as keeping every
-inner union's pairs would hold n²/2 pairs for an n-branch union.
+The walk visits only the subterms whose stored ``first`` mask has the
+symbol's bit.  That is exact: a subterm has a derivative by ``a``
+exactly when a first step can consume one of its ``a`` leaves (``a`` is
+in its structural first set), and its mask holds the bits of all such
+symbols.  A bit shared with another symbol costs a walk that finds
+nothing, never a member, so the result is the paper's raw relation.
 
-The step is named ``partial_derivatives`` like
+A build steps each new state once, by every symbol at once: the walk
+with every bit set, where each symbol leaf gives a ``(symbol, member)``
+pair.  Its wrappers go through one :func:`.syntax.builder`, so shared
+subterms stay one object and a successor equal to a known state is
+almost always that state's object, found by identity.  The build also
+passes the walk a shuffle memo.  A shuffle whose two sides both step,
+met inside a wrapper rather than as the top of a state, keeps its pairs
+there relative to itself, keyed by its identity with the node held so
+the key stays valid.  Each later visit, in the same state or another,
+re-wraps the stored pairs through its own context instead of walking
+the shuffle again, so the interleavings of n sessions share their inner
+shuffles across all 4^n states.  Nothing else is kept.  A union adds no
+wrapper, so a 10,000-branch union is one linear walk.  Any other subterm
+is walked again in each state that holds it: cheap for the one-path
+subterms of most specs, slower than a memo where many states share a
+large live union or a deep star tower.  A memo holds for one build: one
+builder, every symbol.
+
+The per-state step is named ``partial_derivatives`` like
 :func:`.partial.partial_derivatives`, whose relation it computes for
 every symbol, because the traced benchmark times the build's steps by
 rebinding that module-level name.
@@ -50,14 +71,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import CapacityError
-from .syntax import EPS, Cat, Or, Regex, Shuffle, Star, Sym, Symbol, builder, format_regex
+from .syntax import EPS, Cat, Or, Regex, Shuffle, Star, Sym, Symbol, builder, format_regex, symbol_bit
 
 DEFAULT_CLOSURE_CAP = 1_000_000
-
-Pairs = list[tuple[Symbol, Regex]]
 
 
 @dataclass(frozen=True)
@@ -157,82 +176,124 @@ class Nfa:
         return "\n".join(lines)
 
 
-def _form(node: Regex, forms: dict[int, tuple[Regex, Pairs]]) -> Pairs:
-    """A live child's memoized form; a symbol's is read in place."""
-    return [(node.name, EPS)] if type(node) is Sym else forms[id(node)][1]
+def step_frontier(
+    frontier: Iterable[Regex],
+    symbol: Symbol | None,
+    make: Callable[[type, Regex, Regex], Regex] | None = None,
+    memo: dict[int, tuple[Regex, list[tuple[Symbol, Regex]]]] | None = None,
+) -> frozenset[Regex] | list[tuple[Symbol, Regex]]:
+    """Set-lifted single step: the union of members' partial derivatives.
+
+    Each member's wrappers are rebuilt through ``make(kind, left, right)``,
+    a :func:`.syntax.builder`, when one is given, else by ``Cat`` and
+    ``Shuffle`` themselves.  With ``symbol`` None the walk steps by every
+    symbol at once, for the build: it takes the build's ``make`` and
+    shuffle ``memo``, reads and fills the memo, and returns the list of
+    ``(symbol, member)`` pairs."""
+    if symbol is None:
+        bit = -1
+        out = sink = []
+    else:
+        bit = symbol_bit(symbol)
+        out = set()
+    # A context is None at a member, else (wrapper, left, right, outer):
+    # ``wrapper(left, right)`` with the stepped subterm in place of the
+    # side that is None, inside the wrappers of ``outer``.  Every node
+    # visited has the bit, so the walk goes on in place into a child that
+    # has it; ``stack`` holds the other child wherever both have it.  A
+    # memo shuffle's walk sends its pairs to its own entry, and below that
+    # walk's frames it leaves a frame ``(None, (pairs, context, sink))``:
+    # popped, it sends the entry's pairs through ``context`` into ``sink``,
+    # the list around the shuffle.
+    stack: list[tuple[Regex | None, tuple | None]] = []
+    for node in frontier:
+        if not node.first & bit:
+            continue
+        context = None
+        while True:
+            kind = type(node)
+            while kind is not Sym:  # 0 and eps have no bit, so none is visited
+                if kind is Cat:
+                    left, right = node.left, node.right
+                    if left.first & bit:
+                        if left.nullable and right.first & bit:
+                            stack.append((right, context))
+                        node, context = left, (Cat, None, right, context)
+                    else:  # the bit came through a nullable left factor
+                        node = right
+                elif kind is Or:
+                    left, right = node.left, node.right
+                    if left.first & bit:
+                        if right.first & bit:
+                            stack.append((right, context))
+                        node = left
+                    else:
+                        node = right
+                elif kind is Star:
+                    node, context = node.body, (Cat, None, node, context)
+                else:  # Shuffle
+                    left, right = node.left, node.right
+                    if left.first & bit:
+                        if right.first & bit:
+                            if memo is not None and context is not None:
+                                known = memo.get(id(node))
+                                if known is not None:  # the path ends in the entry's pairs
+                                    stack.append((None, (known[1], context, sink)))
+                                    break
+                                memo[id(node)] = (node, pairs := [])
+                                stack.append((None, (pairs, context, sink)))
+                                sink, context = pairs, None
+                            stack.append((right, (Shuffle, left, None, context)))
+                        node, context = left, (Shuffle, None, right, context)
+                    else:
+                        node, context = right, (Shuffle, left, None, context)
+                kind = type(node)
+            else:  # a symbol leaf; a memo hit breaks out past it
+                if node.name == symbol:
+                    d: Regex = EPS
+                    if make is None:
+                        while context is not None:
+                            wrapper, left, right, context = context
+                            d = wrapper(d, right) if left is None else wrapper(left, d)
+                    else:
+                        while context is not None:
+                            wrapper, left, right, context = context
+                            d = make(wrapper, d, right) if left is None else make(wrapper, left, d)
+                    out.add(d)
+                elif symbol is None:
+                    d = EPS
+                    while context is not None:
+                        wrapper, left, right, context = context
+                        d = make(wrapper, d, right) if left is None else make(wrapper, left, d)
+                    sink.append((node.name, d))
+            while stack:
+                node, context = stack.pop()
+                if node is not None:
+                    break
+                pairs, outer, sink = context
+                for name, d in pairs:
+                    context = outer
+                    while context is not None:
+                        wrapper, left, right, context = context
+                        d = make(wrapper, d, right) if left is None else make(wrapper, left, d)
+                    sink.append((name, d))
+            else:  # the member's walk is done
+                break
+    return out if symbol is None else frozenset(out)
 
 
 def partial_derivatives(
-    state: Regex, make: Callable[[type, Regex, Regex], Regex], forms: dict[int, tuple[Regex, Pairs]]
+    state: Regex,
+    make: Callable[[type, Regex, Regex], Regex],
+    memo: dict[int, tuple[Regex, list[tuple[Symbol, Regex]]]],
 ) -> dict[Symbol, Regex | list[Regex]]:
-    """The partial derivatives of ``state`` by every symbol at once: its
-    linear form, grouped per symbol.  A symbol with one distinct member
-    maps to that member; a list is made only when a second distinct
-    member appears, and may repeat members after those two.  ``forms`` is
-    the build's memo, ``id(node) -> (node, pairs)``, and ``make`` its
-    node builder.
-
-    The walk has no recursion: a node stays on its stack until the forms
-    of its live children are known, pushing the missing ones above itself
-    (a symbol's form is read in place), and then joins them into its own.
-    """
-    known = forms.get(id(state))
-    if known is not None:
-        pairs = known[1]
-    elif not state.first:  # no symbol steps it: every node walked below has a bit
-        pairs = []
-    else:
-        stack = [state]
-        while stack:
-            node = stack[-1]
-            if id(node) in forms:  # stacked twice, by two parents
-                stack.pop()
-                continue
-            kind = type(node)
-            if kind is Cat:
-                parts = (node.left, node.right) if node.left.nullable else (node.left,)
-            elif kind is Shuffle:
-                parts = (node.left, node.right)
-            elif kind is Or:  # the chain's leaves, through every union below it
-                parts, chain = [], [node]
-                while chain:
-                    link = chain.pop()
-                    for child in (link.right, link.left):
-                        if child.first:
-                            (chain if type(child) is Or else parts).append(child)
-            elif kind is Star:
-                parts = (node.body,)
-            else:  # a symbol
-                parts = ()
-            missing = [
-                part for part in parts if part.first and type(part) is not Sym and id(part) not in forms
-            ]
-            if missing:
-                stack += missing
-                continue
-            stack.pop()
-            if kind is Cat:
-                left, right = node.left, node.right
-                pairs = [(s, make(Cat, d, right)) for s, d in _form(left, forms)] if left.first else []
-                if left.nullable and right.first:
-                    pairs += _form(right, forms)
-            elif kind is Shuffle:
-                left, right = node.left, node.right
-                pairs = [(s, make(Shuffle, d, right)) for s, d in _form(left, forms)] if left.first else []
-                if right.first:
-                    pairs += [(s, make(Shuffle, left, d)) for s, d in _form(right, forms)]
-            elif kind is Or:
-                pairs = []
-                for leaf in parts:
-                    pairs += _form(leaf, forms)
-            elif kind is Star:
-                pairs = [(s, make(Cat, d, node)) for s, d in _form(node.body, forms)]
-            else:
-                pairs = [(node.name, EPS)]
-            if node is not state:
-                forms[id(node)] = (node, pairs)
+    """The partial derivatives of ``state`` by every symbol at once, grouped
+    per symbol.  A symbol with one distinct member maps to that member; a
+    list is made only when a second distinct member appears, and may
+    repeat members after those two.  ``make`` is the build's node builder
+    and ``memo`` its shuffle memo."""
     steps: dict[Symbol, Regex | list[Regex]] = {}
-    for symbol, d in pairs:
+    for symbol, d in step_frontier((state,), None, make, memo):
         known = steps.get(symbol)
         if known is None:
             steps[symbol] = d
@@ -246,14 +307,14 @@ def partial_derivatives(
 def build_nfa(e: Regex, *, cap: int = DEFAULT_CLOSURE_CAP) -> Nfa:
     """Build the NFA whose states are the reachable partial derivatives."""
     make = builder()
-    forms: dict[int, tuple[Regex, Pairs]] = {}
+    memo: dict[int, tuple[Regex, list[tuple[Symbol, Regex]]]] = {}
     index: dict[Regex, int] = {e: 0}
     states: list[Regex] = [e]  # also the queue: the loop reaches each state as it is appended
     successors: list[dict[Symbol, int]] = []
     choices: list[tuple[int, ...]] = [()]
     choice_index: dict[tuple[int, ...], int] = {(): 0}
     for state in states:
-        steps = partial_derivatives(state, make, forms)
+        steps = partial_derivatives(state, make, memo)
         row: dict[Symbol, int] = {}
         for symbol in sorted(steps):
             targets = steps[symbol]

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import time
 import tracemalloc
 from dataclasses import replace
@@ -6,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 
 from derivmon.automaton import Nfa, build_nfa
-from derivmon.corpus import file_descriptor_spec
+from derivmon.corpus import GenConfig, file_descriptor_spec, gen_corpus
 from derivmon.errors import CapacityError
 from derivmon.partial import partial_derivatives
-from derivmon.syntax import alphabet, has_eps, parse, subterms
+from derivmon.syntax import Shuffle, alphabet, format_regex, has_eps, parse, subterms
 from strategies import branching_regexes, regexes
+
+SHARED = parse("a || b")
 
 
 class TestBuildNfa:
@@ -67,18 +71,25 @@ class TestBuildNfa:
         assert_mirrors_partial_derivatives(e)
 
     @pytest.mark.parametrize(
-        "text",
+        "e",
         [
-            "a* a || a",  # a nullable concatenation whose two factors both step
-            "(a + eps) (a || b)",
-            "(a + a b)* a",
-            "(a + b) (a + (b + a)) || (a + b)*",  # union chains nested both ways
-            "a 0 || b",  # a live left factor before 0
-            "(a* || a* || a*)*",
+            parse("a* a || a"),  # a nullable concatenation whose two factors both step
+            parse("(a + eps) (a || b)"),
+            parse("(a + a b)* a"),
+            parse("(a + b) (a + (b + a)) || (a + b)*"),  # union chains nested both ways
+            parse("a 0 || b"),  # a live left factor before 0
+            parse("(a* || a* || a*)*"),
+            # Shuffles with two live sides inside a wrapper: the walk keeps
+            # their pairs in the build's memo and re-wraps them on each visit.
+            parse("((a || b) || c) d"),
+            parse("((a || b*) || c)*"),
+            file_descriptor_spec(3),
+            Shuffle(SHARED, SHARED),  # one object on both sides: read back in the same step
         ],
+        ids=format_regex,
     )
-    def test_linear_form_cases_mirror_partial_derivatives(self, text):
-        assert_mirrors_partial_derivatives(parse(text))
+    def test_linear_form_cases_mirror_partial_derivatives(self, e):
+        assert_mirrors_partial_derivatives(e)
 
     def test_large_alphabets_build_quickly(self):
         # One step per state by every symbol at once: the work per state
@@ -191,6 +202,20 @@ class TestDeterminism:
                 [2, "b", 2],
             ],
         }
+
+    def test_numbering_and_edge_order_are_pinned(self):
+        # A SHA-256 over the JSON of fd(1..4) and 100 corpus expressions per
+        # seed 0-2, with and without shuffle, recorded from a known-good
+        # build: a change to the state numbering, the edge order or the
+        # rendered states changes it.
+        specs = [file_descriptor_spec(n) for n in range(1, 5)]
+        for seed in range(3):
+            for shuffle in (True, False):
+                specs += gen_corpus(GenConfig(seed=seed, shuffle_enabled=shuffle), 100)
+        digest = hashlib.sha256()
+        for e in specs:
+            digest.update(json.dumps(build_nfa(e).to_json_dict()).encode())
+        assert digest.hexdigest() == "a6b1674dde2b527460b39b44eb11ab4f2291a9703ac43d14d4a17c2f0439f679"
 
     def test_dot_output_mentions_every_state(self):
         dot = build_nfa(parse("a b")).to_dot()

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings
 
-from derivmon import bounds, derivative, monitor, partial
+from derivmon import automaton, bounds, derivative, monitor, partial
 from derivmon.automaton import Nfa, build_nfa
 from derivmon.check import agreement_problem, bounds_problem, problem
 from derivmon.corpus import GenConfig, file_descriptor_spec, gen_corpus
@@ -58,14 +58,20 @@ def test_agreement_problem_names_a_frontier_that_disagrees(monkeypatch):
     )
 
 
+def test_problem_names_a_closure_past_the_cap(monkeypatch):
+    build = automaton.build_nfa
+    monkeypatch.setattr(automaton, "build_nfa", lambda e, cap: build(e, cap=10))
+    assert problem(file_descriptor_spec(3), 1) == "closure blow-up"
+
+
 @pytest.mark.parametrize("text", ["a b", "(a b)*", "a* || b"])
 def test_problem_compares_the_monitor_members_with_the_budgets(monkeypatch, text):
     # Each wrapping keeps the language, nullability and first mask, so only
     # the comparisons of the largest size and height with the budgets of e
     # can see it: d + d + ... past size 200 breaks both budgets, and
     # (d + 0) + 0, two levels higher and 4 nodes larger, the height budget
-    # alone.  The NFA is built from linear forms, not through this step, so
-    # no other check can.
+    # alone.  The NFA's build steps by every symbol at once and never calls
+    # monitor.step_frontier, so no other check can.
     def bloated(d):
         while d.size <= 200:
             d = Or(d, d)
@@ -195,6 +201,23 @@ class TestBoundsProblem:
             mp.setattr(bounds, "height_increment_bound", budgets[0])
             mp.setattr(bounds, "size_increment_bound", budgets[1])
             assert bounds_problem(e, nfa) == reference_bounds_problem(e, nfa)
+
+    @pytest.mark.parametrize(
+        "name, budget, message",
+        [
+            ("height_increment_bound", lambda e: 2, "height budget out of range"),
+            ("height_budget", lambda e: e.height - 1, "height bound exceeded"),
+            ("size_budget", lambda e: e.size - 1, "size bound exceeded"),
+        ],
+        ids=["height-range", "height-cap", "size-cap"],
+    )
+    def test_names_the_budget_or_cap_it_breaks(self, monkeypatch, name, budget, message):
+        # Each patch breaks one check alone: a budget out of its range, or a
+        # cap one below the height or size of e, the initial state.
+        e = parse("a b || c")
+        nfa = build_nfa(e)
+        monkeypatch.setattr(bounds, name, budget)
+        assert bounds_problem(e, nfa) == message
 
     def test_reads_the_edges_and_derives_nothing(self, monkeypatch):
         corpus = gen_corpus(GenConfig(seed=0), 200) + [file_descriptor_spec(3)]

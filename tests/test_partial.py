@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from derivmon import partial, syntax
+from derivmon import automaton, syntax
 from derivmon.bounds import star_chain_growth
 from derivmon.errors import CapacityError
 from derivmon.partial import (
@@ -92,7 +92,7 @@ class TestFirstMaskPruning:
         expected = partial_derivatives(e, a)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(syntax, "symbol_bit", lambda name: 1)
-            patch.setattr(partial, "symbol_bit", lambda name: 1)
+            patch.setattr(automaton, "symbol_bit", lambda name: 1)  # the walk's module
             rebuilt = parse(format_regex(e))  # nodes built under the patch
             assert rebuilt.first == (1 if reference_first_set(e) else 0)
             assert partial_derivatives(rebuilt, a) == expected
