@@ -17,25 +17,25 @@ handed back to the session, so the next lookup matches on identity.
 Sessions opened from one monitor share its table.
 
 A miss steps the frontier once and reads each new member's stored
-``size``, ``height`` and ``nullable`` in one pass.  The transition is
-stored on its first sighting while the expression nodes of the distinct
-frontiers the table holds, each member counted at its full size, stay
-within ``NODE_CAP``, and the table holds fewer than ``NODE_CAP``
-transitions; past either bound, steps go uncached.  The entry bound
+``size``, ``height`` and ``nullable`` in one pass.  It stores the
+transition while the table holds fewer than ``NODE_CAP`` transitions
+and the expression nodes of the distinct frontiers it holds, each
+member counted at its full size, stay within ``NODE_CAP`` with both of
+the transition's ends; else the step goes uncached.  The entry bound
 matters after a violation, where transitions into the stored empty
 frontier add no nodes.  The bounds change no result, only its cost.
-A long sequence specification's frontiers never recur, so its trace
-fills the node bound within a few events and stores nothing more.
 
 Each monitor holds a :func:`.syntax.builder`, and a miss rebuilds its
 members' wrappers through it.  So a frontier equal to a stored one holds
 the very same member objects, and the table lookups that follow match
 on identity, with no structural comparison of trees; a rebuilt wrapper
-is a dict hit, not a new node.  The monitor drops the builder at the
-first transition its table refuses to store.  Until then a miss builds
-new nodes only for a frontier the table then stores, so the builder
-holds about what the table holds; and a long sequence specification,
-whose frontiers never recur, stops paying for a builder it cannot use.
+is a dict hit, not a new node.  A refused store drops the builder, so
+until then a miss builds new nodes only for a frontier the table then
+stores, and the builder holds about what the table holds.  Transitions
+that fit later are still stored: a loop reached after a long prefix is
+cached, and the 20,000-symbol sequence ``e0 ... e19999``, whose first
+frontier alone passes the node bound, stores one transition near its
+end and holds no builder for the frontiers it cannot store.
 
 The paper's budgets bound each member, and ``TraceStats.max_size`` and
 ``max_height`` report the largest one.  The frontier as a whole is not
@@ -123,23 +123,20 @@ class Monitor:
                 max_height = e.height
             if e.nullable:
                 verdict = ACCEPTING
-        # Each return that stores nothing releases the builder (module docstring).
-        if len(self._table) >= NODE_CAP:
-            self._make = None
-            return after, max_size, max_height, verdict
         frontiers = self._frontiers
-        stored_after = frontiers.get(after)
-        kept = self.kept if stored_after is not None else self.kept + nodes
-        if kept > NODE_CAP:  # charging the source end below only adds
+        kept = NODE_CAP + 1  # refused unless both bounds admit it below
+        if len(self._table) < NODE_CAP:
+            stored_after = frontiers.get(after)
+            kept = self.kept if stored_after is not None else self.kept + nodes
+            # Charging the source end only adds, so it waits for ``after`` to fit.
+            if kept <= NODE_CAP:
+                stored_from = frontiers.get(frontier)
+                # A self-loop from a new frontier stores, and charges, one frontier.
+                if stored_from is None and after != frontier:
+                    kept += sum([e.size for e in frontier])
+        if kept > NODE_CAP:  # the one refusal releases the builder (module docstring)
             self._make = None
             return after, max_size, max_height, verdict
-        stored_from = frontiers.get(frontier)
-        # A self-loop from a new frontier stores, and charges, one frontier.
-        if stored_from is None and after != frontier:
-            kept += sum([e.size for e in frontier])
-            if kept > NODE_CAP:
-                self._make = None
-                return after, max_size, max_height, verdict
         self.kept = kept
         # Both ends become the stored objects, so that the session stepping
         # from ``after`` next time looks up an identical frontier.

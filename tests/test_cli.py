@@ -1,3 +1,4 @@
+import io
 import json
 import sys
 
@@ -132,6 +133,12 @@ class TestOracle:
         assert code == 0
         assert out.splitlines() == ["", "a", "b", "a a", "a b", "b b"]
 
+    def test_negative_length_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "a", "-1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestMonitor:
     def write(self, tmp_path, name, text):
@@ -164,6 +171,13 @@ class TestMonitor:
             run()
         assert exit_info.value.code == 2
         assert capsys.readouterr().out == "VIOLATION\n"
+
+    def test_trace_read_from_stdin(self, tmp_path, capsys, monkeypatch):
+        spec = self.write(tmp_path, "spec.txt", "a b")
+        monkeypatch.setattr(sys, "stdin", io.StringIO("a\nb\n"))
+        code, out, _ = run_cli(capsys, "monitor", spec, "-")
+        assert code == 0
+        assert out == "ACCEPTING\n"
 
     def test_pending_exit_code(self, tmp_path, capsys):
         spec = self.write(tmp_path, "spec.txt", "a b")

@@ -293,6 +293,32 @@ class TestMonitorCache:
         step(start, "b")
         assert (monitor.hits, monitor.misses, monitor.kept) == (1, 2, 10)
 
+    def test_transitions_that_fit_are_stored_after_a_refusal(self, monkeypatch):
+        # The start frontier {e0 ... e99 + (a b)*} alone passes a cap of 100,
+        # so its step is refused; F1 = {(eps b) (a b)*} (8 nodes) -b-> F2 =
+        # {eps (a b)*} (6) and F2 -a-> F1 fit, and every later step hits.
+        monkeypatch.setattr(monitor_mod, "NODE_CAP", 100)
+        monitor = Monitor(parse(" ".join(f"e{i}" for i in range(100)) + " + (a b)*"))
+        fold(monitor.new_session(), "ab" * 20)
+        assert (monitor.hits, monitor.misses, monitor.kept) == (37, 3, 14)
+        assert len(monitor._table) == 2
+
+    def test_a_refused_store_releases_the_builder(self):
+        # A long sequence spec's frontiers never recur and pass the node
+        # bound at once; a builder kept for the whole trace would hold a new
+        # wrapper per event, about 2 MiB over these 5,000 events.
+        text = " ".join(f"e{i}" for i in range(5000))
+        spec = parse(text)
+        events = (event for event in text.split())
+        tracemalloc.start()
+        try:
+            verdict, _ = run_trace(spec, events)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict is Verdict.ACCEPTING
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize(
         "text, trace, counts",
         [

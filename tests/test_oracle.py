@@ -77,6 +77,10 @@ class TestLangUpTo:
         with pytest.raises(ValueError):
             lang_up_to(parse("a*"), 13)
 
+    def test_negative_max_len(self):
+        with pytest.raises(ValueError):
+            lang_up_to(parse("a*"), -1)
+
     def test_capacity_cap(self, monkeypatch):
         monkeypatch.setattr(oracle, "DEFAULT_CAP", 50)
         with pytest.raises(CapacityError):

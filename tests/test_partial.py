@@ -141,6 +141,10 @@ class TestDeepShapes:
         observed, predicted = star_chain_growth(10_000)
         assert observed == predicted
 
+    def test_star_chain_needs_a_star(self):
+        with pytest.raises(ValueError):
+            star_chain_growth(1)
+
     def test_shuffle_chain(self):
         # About 1 in 64 of the other symbols shares a0's bit and is walked too.
         names = [f"a{i}" for i in range(10_000)]

@@ -131,6 +131,7 @@ class TestFormat:
     @given(regexes())
     def test_roundtrip(self, e):
         assert parse(format_regex(e)) == e
+        assert str(e) == format_regex(e)
 
     def test_deep_sequence_prints_without_recursion(self):
         text = " ".join(f"e{i}" for i in range(10_000))
