@@ -21,7 +21,10 @@ that subterm and its member.  A concatenation's left factor is wrapped
 in ``Cat(., right)``, a star's body in ``Cat(., star)``, and each side of
 a shuffle in the shuffle with the other side; a union adds no wrapper.
 A symbol that matches steps to ``eps``, and rebuilding ``eps`` outward
-through its context gives one member of the result.  The walk descends
+through its context, each wrapper by ``make(kind, left, right)``, gives
+one member of the result.  ``make`` is the caller's
+:func:`.syntax.builder`, or by default ``type.__call__``, which calls
+``kind(left, right)`` and keeps nothing.  The walk descends
 in place into a child whose ``first`` mask has the symbol's bit, and
 keeps a ``(subterm, context)`` pair on its stack only where a node has
 two such children: a union or shuffle whose sides both have it, or a
@@ -37,7 +40,7 @@ nothing, never a member, so the result is the paper's raw relation.
 
 A build steps each new state once, by every symbol at once: the walk
 with every bit set, where each symbol leaf gives a ``(symbol, member)``
-pair.  Its wrappers go through one :func:`.syntax.builder`, so shared
+pair.  Its ``make`` is one :func:`.syntax.builder`, so shared
 subterms stay one object and a successor equal to a known state is
 almost always that state's object, found by identity.  The build also
 passes the walk a shuffle memo.  A shuffle whose two sides both step,
@@ -179,17 +182,17 @@ class Nfa:
 def step_frontier(
     frontier: Iterable[Regex],
     symbol: Symbol | None,
-    make: Callable[[type, Regex, Regex], Regex] | None = None,
+    make: Callable[[type, Regex, Regex], Regex] = type.__call__,
     memo: dict[int, tuple[Regex, list[tuple[Symbol, Regex]]]] | None = None,
 ) -> frozenset[Regex] | list[tuple[Symbol, Regex]]:
     """Set-lifted single step: the union of members' partial derivatives.
 
-    Each member's wrappers are rebuilt through ``make(kind, left, right)``,
-    a :func:`.syntax.builder`, when one is given, else by ``Cat`` and
-    ``Shuffle`` themselves.  With ``symbol`` None the walk steps by every
-    symbol at once, for the build: it takes the build's ``make`` and
-    shuffle ``memo``, reads and fills the memo, and returns the list of
-    ``(symbol, member)`` pairs."""
+    Each member's wrappers are rebuilt through ``make(kind, left, right)``:
+    a :func:`.syntax.builder`, or the default ``type.__call__``, which
+    calls ``kind(left, right)``.  With ``symbol`` None the walk steps by
+    every symbol at once, for the build: it takes the build's ``make``
+    and shuffle ``memo``, reads and fills the memo, and returns the list
+    of ``(symbol, member)`` pairs."""
     if symbol is None:
         bit = -1
         out = sink = []
@@ -249,23 +252,15 @@ def step_frontier(
                         node, context = right, (Shuffle, left, None, context)
                 kind = type(node)
             else:  # a symbol leaf; a memo hit breaks out past it
-                if node.name == symbol:
+                if symbol is None or node.name == symbol:
                     d: Regex = EPS
-                    if make is None:
-                        while context is not None:
-                            wrapper, left, right, context = context
-                            d = wrapper(d, right) if left is None else wrapper(left, d)
-                    else:
-                        while context is not None:
-                            wrapper, left, right, context = context
-                            d = make(wrapper, d, right) if left is None else make(wrapper, left, d)
-                    out.add(d)
-                elif symbol is None:
-                    d = EPS
                     while context is not None:
                         wrapper, left, right, context = context
                         d = make(wrapper, d, right) if left is None else make(wrapper, left, d)
-                    sink.append((node.name, d))
+                    if symbol is None:
+                        sink.append((node.name, d))
+                    else:
+                        out.add(d)
             while stack:
                 node, context = stack.pop()
                 if node is not None:
@@ -286,21 +281,17 @@ def partial_derivatives(
     state: Regex,
     make: Callable[[type, Regex, Regex], Regex],
     memo: dict[int, tuple[Regex, list[tuple[Symbol, Regex]]]],
-) -> dict[Symbol, Regex | list[Regex]]:
+) -> dict[Symbol, list[Regex]]:
     """The partial derivatives of ``state`` by every symbol at once, grouped
-    per symbol.  A symbol with one distinct member maps to that member; a
-    list is made only when a second distinct member appears, and may
-    repeat members after those two.  ``make`` is the build's node builder
-    and ``memo`` its shuffle memo."""
-    steps: dict[Symbol, Regex | list[Regex]] = {}
+    per symbol: each symbol's members in walk order, repeats included.
+    ``make`` is the build's node builder and ``memo`` its shuffle memo."""
+    steps: dict[Symbol, list[Regex]] = {}
     for symbol, d in step_frontier((state,), None, make, memo):
         known = steps.get(symbol)
         if known is None:
-            steps[symbol] = d
-        elif type(known) is list:
+            steps[symbol] = [d]
+        else:
             known.append(d)
-        elif known is not d and known != d:
-            steps[symbol] = [known, d]
     return steps
 
 
@@ -318,9 +309,7 @@ def build_nfa(e: Regex, *, cap: int = DEFAULT_CLOSURE_CAP) -> Nfa:
         row: dict[Symbol, int] = {}
         for symbol in sorted(steps):
             targets = steps[symbol]
-            if type(targets) is not list:
-                targets = (targets,)
-            else:
+            if len(targets) > 1:
                 targets = sorted(set(targets), key=format_regex)
             for target in targets:
                 target_index = index.get(target)

@@ -29,7 +29,8 @@ Each monitor holds a :func:`.syntax.builder`, and a miss rebuilds its
 members' wrappers through it.  So a frontier equal to a stored one holds
 the very same member objects, and the table lookups that follow match
 on identity, with no structural comparison of trees; a rebuilt wrapper
-is a dict hit, not a new node.  A refused store drops the builder, so
+is a dict hit, not a new node.  A refused store drops the builder for
+the walk's default maker, ``type.__call__``, which keeps nothing.  So
 until then a miss builds new nodes only for a frontier the table then
 stores, and the builder holds about what the table holds.  Transitions
 that fit later are still stored: a loop reached after a long prefix is
@@ -101,7 +102,7 @@ class Monitor:
         self.kept = 0
         self._table: dict[tuple[frozenset[Regex], Symbol], _Transition] = {}
         self._frontiers: dict[frozenset[Regex], frozenset[Regex]] = {}
-        self._make: Callable[[type, Regex, Regex], Regex] | None = builder()
+        self._make: Callable[[type, Regex, Regex], Regex] = builder()
 
     def new_session(self) -> MonitorSession:
         """A session at the start of a trace, sharing this monitor's table."""
@@ -135,7 +136,7 @@ class Monitor:
                 if stored_from is None and after != frontier:
                     kept += sum([e.size for e in frontier])
         if kept > NODE_CAP:  # the one refusal releases the builder (module docstring)
-            self._make = None
+            self._make = type.__call__
             return after, max_size, max_height, verdict
         self.kept = kept
         # Both ends become the stored objects, so that the session stepping

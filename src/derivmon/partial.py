@@ -16,11 +16,11 @@ is the states of :func:`.automaton.build_nfa`, under the build's cap.
 :mod:`.automaton` defines it and says how it goes, because the build
 steps each state through it and this module imports the build.  A
 one-symbol step keeps no memo of its own.  It builds its wrappers
-through the node builder its caller passes, the monitor's
+through the maker its caller passes: the monitor's
 :func:`.syntax.builder`, so that a member equal to one built before is
-that very object; without one, as in :func:`accepts`, it calls ``Cat``
-and ``Shuffle`` themselves.  :func:`partial_derivatives` is that walk
-from a single expression.
+that very object, or by default ``type.__call__``, as in
+:func:`accepts`, which calls ``Cat`` and ``Shuffle`` and keeps nothing.
+:func:`partial_derivatives` is that walk from a single expression.
 """
 
 from __future__ import annotations

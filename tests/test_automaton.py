@@ -88,7 +88,7 @@ class TestBuildNfa:
         ],
         ids=format_regex,
     )
-    def test_linear_form_cases_mirror_partial_derivatives(self, e):
+    def test_branching_and_memo_cases_mirror_partial_derivatives(self, e):
         assert_mirrors_partial_derivatives(e)
 
     def test_large_alphabets_build_quickly(self):
@@ -224,7 +224,7 @@ class TestDeterminism:
         assert 'label="a"' in dot
 
 
-def test_accepts_uses_indexed_transitions():
+def test_accepts_walks_the_successor_maps():
     nfa = Nfa(
         states=(parse("a"), parse("eps")),
         initial=0,

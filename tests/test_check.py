@@ -8,7 +8,7 @@ from derivmon.automaton import Nfa, build_nfa
 from derivmon.check import agreement_problem, bounds_problem, problem
 from derivmon.corpus import GenConfig, file_descriptor_spec, gen_corpus
 from derivmon.syntax import Empty, Or, alphabet, height, parse, size
-from strategies import regexes
+from strategies import all_regexes, regexes
 
 
 def test_agreement_problem_names_the_shortest_failing_word(monkeypatch):
@@ -143,6 +143,14 @@ def test_agreement_problem_names_the_shortest_word_a_stale_verdict_breaks(monkey
 @settings(max_examples=500, deadline=None)
 def test_random_expressions_have_no_problem(e):
     assert problem(e, 4) is None
+
+
+def test_every_small_expression_has_no_problem():
+    # All 7,896 trees of up to 6 nodes over a and b, shuffle included, so
+    # every small nondeterministic shape goes through the walk and the build.
+    trees = all_regexes(6)
+    assert len(trees) == 7896
+    assert [(str(e), found) for e in trees if (found := problem(e, 3))] == []
 
 
 class TestDeepInputs:
