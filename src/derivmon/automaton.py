@@ -119,40 +119,32 @@ class Nfa:
         return tuple(edges)
 
     def accepts(self, word: Sequence[Symbol]) -> bool:
-        """Subset simulation over the successor maps.  A one-state subset
-        steps by one lookup in its state's map and a sign test; past a
-        choice entry the subset steps by the union of its members'
-        targets, and when that narrows to one state the walk returns to
-        the one-lookup step."""
+        """Subset simulation over the successor maps, in one forward walk.
+        A one-state subset steps by one lookup in its state's map and a
+        sign test; from the first choice entry on, the subset steps by
+        the union of its members' targets to the end of the word."""
         successors, choices = self.successors, self.choices
         symbols = iter(word)
         state = self.initial
-        while True:
-            for symbol in symbols:
-                state = successors[state].get(symbol, -1)
-                if state < 0:
-                    break
-            else:
-                return state in self.finals
-            subset = choices[~state]
+        for symbol in symbols:
+            state = successors[state].get(symbol, -1)
+            if state < 0:
+                break
+        else:
+            return state in self.finals
+        subset = choices[~state]
+        for symbol in symbols:
             if not subset:
                 return False
-            for symbol in symbols:
-                stepped: set[int] = set()
-                for member in subset:
-                    target = successors[member].get(symbol, -1)
-                    if target >= 0:
-                        stepped.add(target)
-                    else:
-                        stepped.update(choices[~target])
-                if len(stepped) < 2:
-                    break
-                subset = stepped
-            else:
-                return not self.finals.isdisjoint(subset)
-            if not stepped:
-                return False
-            state = stepped.pop()
+            stepped: set[int] = set()
+            for member in subset:
+                target = successors[member].get(symbol, -1)
+                if target >= 0:
+                    stepped.add(target)
+                else:
+                    stepped.update(choices[~target])
+            subset = stepped
+        return not self.finals.isdisjoint(subset)
 
     def to_json_dict(self) -> dict:
         return {

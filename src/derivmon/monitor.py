@@ -17,26 +17,29 @@ handed back to the session, so the next lookup matches on identity.
 Sessions opened from one monitor share its table.
 
 A miss steps the frontier once and reads each new member's stored
-``size``, ``height`` and ``nullable`` in one pass.  It stores the
-transition while the table holds fewer than ``NODE_CAP`` transitions
-and the expression nodes of the distinct frontiers it holds, each
-member counted at its full size, stay within ``NODE_CAP`` with both of
-the transition's ends; else the step goes uncached.  The entry bound
-matters after a violation, where transitions into the stored empty
-frontier add no nodes.  The bounds change no result, only its cost.
+``size``, ``height`` and ``nullable`` in one pass.  It stores its target
+frontier if the expression nodes of the distinct frontiers stored, each
+member counted at its full size, stay within ``NODE_CAP``, and the
+transition if its source is stored too and the table holds fewer than
+``NODE_CAP`` transitions: a transition links two stored frontiers.  The
+start frontier is stored, and charged, when the monitor is built.  The
+entry bound matters after a violation, where transitions into the
+stored empty frontier add no nodes.  The bounds change no result, only
+its cost.
 
 Each monitor holds a :func:`.syntax.builder`, and a miss rebuilds its
 members' wrappers through it.  So a frontier equal to a stored one holds
 the very same member objects, and the table lookups that follow match
 on identity, with no structural comparison of trees; a rebuilt wrapper
-is a dict hit, not a new node.  A refused store drops the builder for
-the walk's default maker, ``type.__call__``, which keeps nothing.  So
-until then a miss builds new nodes only for a frontier the table then
-stores, and the builder holds about what the table holds.  Transitions
-that fit later are still stored: a loop reached after a long prefix is
-cached, and the 20,000-symbol sequence ``e0 ... e19999``, whose first
-frontier alone passes the node bound, stores one transition near its
-end and holds no builder for the frontiers it cannot store.
+is a dict hit, not a new node.  A frontier refused for want of room
+drops the builder for the walk's default maker, ``type.__call__``, which
+keeps nothing.  So until then a miss builds new nodes only for a
+frontier the monitor then stores, and the builder holds about what the
+monitor holds.  Frontiers that fit later are still stored, and the
+transitions between them: a loop reached after a long prefix is cached,
+and the 20,000-symbol sequence ``e0 ... e19999``, whose start frontier
+alone passes the node bound, stores two frontiers near its end and no
+transition, and holds no builder for the frontiers it cannot store.
 
 The paper's budgets bound each member, and ``TraceStats.max_size`` and
 ``max_height`` report the largest one.  The frontier as a whole is not
@@ -88,9 +91,9 @@ class Monitor:
     """The lazily determinized automaton of one specification.
 
     ``hits`` and ``misses`` count table lookups, and ``kept`` the
-    expression nodes of the distinct frontiers that stored transitions
-    hold.  The monitor is the one mutable object of the package; its
-    caller owns it.
+    expression nodes of the distinct frontiers the monitor stores, the
+    start frontier among them from construction.  The monitor is the
+    one mutable object of the package; its caller owns it.
     """
 
     __slots__ = ("spec", "hits", "misses", "kept", "_table", "_frontiers", "_make")
@@ -103,13 +106,17 @@ class Monitor:
         self._table: dict[tuple[frozenset[Regex], Symbol], _Transition] = {}
         self._frontiers: dict[frozenset[Regex], frozenset[Regex]] = {}
         self._make: Callable[[type, Regex, Regex], Regex] = builder()
+        if spec.size <= NODE_CAP:
+            start = frozenset({spec})
+            self._frontiers[start] = start
+            self.kept = spec.size
 
     def new_session(self) -> MonitorSession:
         """A session at the start of a trace, sharing this monitor's table."""
+        start = frozenset({self.spec})
+        start = self._frontiers.get(start, start)
         verdict = ACCEPTING if has_eps(self.spec) else PENDING
-        return MonitorSession(
-            self, frozenset({self.spec}), 0, size(self.spec), height(self.spec), verdict
-        )
+        return MonitorSession(self, start, 0, size(self.spec), height(self.spec), verdict)
 
     def _miss(self, frontier: frozenset[Regex], event: Symbol) -> _Transition:
         self.misses += 1
@@ -125,28 +132,17 @@ class Monitor:
             if e.nullable:
                 verdict = ACCEPTING
         frontiers = self._frontiers
-        kept = NODE_CAP + 1  # refused unless both bounds admit it below
-        if len(self._table) < NODE_CAP:
-            stored_after = frontiers.get(after)
-            kept = self.kept if stored_after is not None else self.kept + nodes
-            # Charging the source end only adds, so it waits for ``after`` to fit.
-            if kept <= NODE_CAP:
-                stored_from = frontiers.get(frontier)
-                # A self-loop from a new frontier stores, and charges, one frontier.
-                if stored_from is None and after != frontier:
-                    kept += sum([e.size for e in frontier])
-        if kept > NODE_CAP:  # the one refusal releases the builder (module docstring)
-            self._make = type.__call__
-            return after, max_size, max_height, verdict
-        self.kept = kept
-        # Both ends become the stored objects, so that the session stepping
-        # from ``after`` next time looks up an identical frontier.
-        if stored_from is None:
-            stored_from = frontiers.setdefault(frontier, frontier)
+        stored_after = frontiers.get(after)
         if stored_after is None:
-            stored_after = frontiers.setdefault(after, after)
+            if self.kept + nodes > NODE_CAP:  # the one refusal releases the builder
+                self._make = type.__call__
+                return after, max_size, max_height, verdict
+            self.kept += nodes
+            stored_after = frontiers[after] = after
         found = (stored_after, max_size, max_height, verdict)
-        self._table[(stored_from, event)] = found
+        stored_from = frontiers.get(frontier)
+        if stored_from is not None and len(self._table) < NODE_CAP:
+            self._table[(stored_from, event)] = found
         return found
 
 

@@ -239,6 +239,11 @@ class TestMonitor:
         code, out, _ = run_cli(capsys, "monitor", spec, trace)
         assert code == 0
         assert out.strip() == "ACCEPTING"
+        # The start frontier {a*} is stored, and its 2 nodes kept, before any event.
+        stats_path = tmp_path / "stats.json"
+        code, _, _ = run_cli(capsys, "monitor", "--stats", str(stats_path), spec, trace)
+        assert code == 0
+        assert json.loads(stats_path.read_text())["cache"] == {"hits": 0, "misses": 0, "kept": 2}
 
     def test_missing_spec_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "monitor", str(tmp_path / "nope.txt"))

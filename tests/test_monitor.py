@@ -36,6 +36,14 @@ class TestNewSession:
         session = new_session(parse("0"))
         assert current_verdict(session) is Verdict.PENDING
 
+    def test_the_start_frontier_is_stored_once_when_it_fits(self, monkeypatch):
+        spec = parse("(a b)*")
+        monitor = Monitor(spec)
+        assert monitor.kept == spec.size
+        assert monitor.new_session().frontier is monitor.new_session().frontier
+        monkeypatch.setattr(monitor_mod, "NODE_CAP", spec.size - 1)
+        assert Monitor(spec).kept == 0
+
 
 class TestStep:
     def test_star_pair(self):
@@ -273,7 +281,7 @@ class TestMonitorCache:
         # a* has 2 nodes and eps a* 4.
         assert (monitor.hits, monitor.misses, monitor.kept) == (1, 2, 6)
         assert sessions[2].frontier is sessions[1].frontier
-        # {eps a*} steps to itself from the start: both ends are new and equal.
+        # {eps a*} steps to itself from the start, stored when the monitor is built.
         monitor = Monitor(parse("eps a*"))
         start = monitor.new_session()
         sessions = fold(start, "aaa")
@@ -295,8 +303,9 @@ class TestMonitorCache:
 
     def test_transitions_that_fit_are_stored_after_a_refusal(self, monkeypatch):
         # The start frontier {e0 ... e99 + (a b)*} alone passes a cap of 100,
-        # so its step is refused; F1 = {(eps b) (a b)*} (8 nodes) -b-> F2 =
-        # {eps (a b)*} (6) and F2 -a-> F1 fit, and every later step hits.
+        # so neither it nor its step is stored; F1 = {(eps b) (a b)*} (8 nodes)
+        # -b-> F2 = {eps (a b)*} (6) and F2 -a-> F1 fit, and every later step
+        # hits.
         monkeypatch.setattr(monitor_mod, "NODE_CAP", 100)
         monitor = Monitor(parse(" ".join(f"e{i}" for i in range(100)) + " + (a b)*"))
         fold(monitor.new_session(), "ab" * 20)
@@ -347,6 +356,11 @@ class TestMonitorCache:
             assert [current_verdict(s) for s in cached] == [current_verdict(s) for s in fresh]
             assert shared.kept <= cap
             assert len(shared._table) <= cap
+            # A transition links two stored frontiers, each charged once.
+            stored = shared._frontiers
+            for (source, _), (target, *_) in shared._table.items():
+                assert stored.get(source) is source and stored.get(target) is target
+            assert shared.kept == sum(e.size for frontier in stored for e in frontier)
 
     def test_distinct_events_after_a_violation_fill_no_more_than_the_cap(self, monkeypatch):
         # Transitions into the stored empty frontier add no nodes, so only
