@@ -4,6 +4,7 @@ Subcommands: derive, pderive, closure, bounds, nfa, oracle, monitor,
 fuzz.  Monitor runs exit with 0/1/2 for ACCEPTING/PENDING/VIOLATION;
 input problems (usage errors, unparsable expressions, missing files)
 exit with 3; an internal failure exits with 4, never as a verdict.
+Output cut short by a closed pipe exits with 141, quietly.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -25,6 +27,7 @@ from .syntax import Word, format_regex, parse, parse_word
 _VERDICT_EXIT = {Verdict.ACCEPTING: 0, Verdict.PENDING: 1, Verdict.VIOLATION: 2}
 _INPUT_ERROR = 3
 _INTERNAL_ERROR = 4
+_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell shows a process the signal ended
 
 
 def _word_from_args(symbols: list[str]) -> Word:
@@ -214,7 +217,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a reader gone after the last line is caught too
+        return status
+    except BrokenPipeError:
+        # stdout to devnull, as the signal module's SIGPIPE note advises: no exit flush raises.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _BROKEN_PIPE
     except (ValueError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _INPUT_ERROR

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 from .syntax import (
@@ -60,29 +61,28 @@ def gen_corpus(cfg: GenConfig, count: int) -> list[Regex]:
     if cfg.alphabet_size < 1:
         raise ValueError("alphabet_size must be at least 1")
     rng = random.Random(cfg.seed)
-    return [_gen(cfg, rng, cfg.max_size) for _ in range(count)]
+    # Per budget 1, 2 and >= 3: the kinds open and their cumulative weights, summed once.
+    kinds = [Empty, Eps, Sym, Star, Cat, Or] + ([Shuffle] if cfg.shuffle_enabled else [])
+    cum_weights = list(accumulate(_WEIGHTS[k] for k in kinds))
+    tables = [(kinds[:n], cum_weights[:n]) for n in (3, 4, len(kinds))]
+    symbols = cfg.symbols()
+    return [_gen(tables, symbols, rng, cfg.max_size) for _ in range(count)]
 
 
-def _gen(cfg: GenConfig, rng: random.Random, budget: int) -> Regex:
-    kinds: list[type[Regex]] = [Empty, Eps, Sym]
-    if budget >= 2:
-        kinds.append(Star)
-    if budget >= 3:
-        kinds.extend([Cat, Or])
-        if cfg.shuffle_enabled:
-            kinds.append(Shuffle)
-    kind = rng.choices(kinds, weights=[_WEIGHTS[k] for k in kinds])[0]
+def _gen(tables: list, symbols: list[str], rng: random.Random, budget: int) -> Regex:
+    kinds, cum_weights = tables[min(budget, 3) - 1]
+    kind = rng.choices(kinds, cum_weights=cum_weights)[0]
     if kind is Empty:
         return EMPTY
     if kind is Eps:
         return EPS
     if kind is Sym:
-        return Sym(rng.choice(cfg.symbols()))
+        return Sym(rng.choice(symbols))
     if kind is Star:
-        return Star(_gen(cfg, rng, budget - 1))
+        return Star(_gen(tables, symbols, rng, budget - 1))
     left_budget = rng.randint(1, budget - 2)
-    left = _gen(cfg, rng, left_budget)
-    return kind(left, _gen(cfg, rng, budget - 1 - left_budget))
+    left = _gen(tables, symbols, rng, left_budget)
+    return kind(left, _gen(tables, symbols, rng, budget - 1 - left_budget))
 
 
 def file_descriptor_spec(n: int) -> Regex:

@@ -19,14 +19,16 @@ word, and ``derive`` one walk per step.
 Membership reads only the nullability of the last derivative, so
 :func:`acceptor` returns a function that folds :func:`_live_step` over
 each word it is given, with one memo per symbol, and :func:`accepts` is
-a fresh one's call.  The live step builds each node directly through
-:func:`_absorbing`, which applies the ``0`` and ``eps`` identities, and
-keeps no builder table.  It derives only what the answer can read: a
-child whose ``first`` mask lacks the symbol's bit is ``0`` (its raw
-derivative has the empty language too), and a symbol ``eps`` or ``0``
-by its name, at once and with no memo entry; the right factor of a
-concatenation whose left factor is not nullable is not derived, its
-term being ``0``.  Both rules are congruent on languages, so each live
+that fold with fresh memos.  The fold returns False at a derivative
+whose ``first`` mask is 0 while symbols remain: no symbol steps it, so
+every later derivative is ``0``.  The live step builds each node
+directly through :func:`_absorbing`, which applies the ``0`` and ``eps``
+identities, and keeps no builder table.  It derives only what the answer
+can read: a child whose ``first`` mask lacks the symbol's bit is ``0``
+(its raw derivative has the empty language too), and a symbol ``eps`` or
+``0`` by its name, at once and with no memo entry; the right factor of a
+concatenation whose left factor is not nullable is not derived, its term
+being ``0``.  Both rules are congruent on languages, so each live
 derivative is language-equal to the raw one; on a sequence spec a step
 returns the spec's own suffix.  These are the module's two walks: the
 raw one is the reference, the live one decides membership, and the
@@ -35,6 +37,7 @@ checker runs both.  No public function returns a live derivative.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 from .syntax import (
@@ -192,25 +195,28 @@ def derive_word(e: Regex, word: Sequence[Symbol]) -> Regex:
     return e
 
 
+def _fold(e: Regex, word: Sequence[Symbol], memos: dict[Symbol, dict]) -> bool:
+    """:func:`accepts` through ``memos``, symbol -> :func:`_live_step`'s memo."""
+    for symbol in word:
+        if not e.first:  # no symbol steps it: every later derivative is 0
+            return False
+        memo = memos.get(symbol)
+        if memo is None:
+            memo = memos[symbol] = {}
+        e = _live_step(e, symbol, memo)
+    return e.nullable
+
+
 def acceptor() -> Callable[[Regex, Sequence[Symbol]], bool]:
     """A fresh :func:`accepts`, the live counterpart of :func:`deriver`: every
     call folds :func:`_live_step` through one memo per symbol that the
     acceptor keeps, so calls on shared subterms derive each of them by each
-    symbol once.  It returns only bools."""
-    memos: dict[Symbol, dict[int, tuple[Regex, Regex]]] = {}  # symbol -> _live_step's memo
-
-    def accepts(e: Regex, word: Sequence[Symbol]) -> bool:
-        for symbol in word:
-            memo = memos.get(symbol)
-            if memo is None:
-                memo = memos[symbol] = {}
-            e = _live_step(e, symbol, memo)
-        return e.nullable
-
-    return accepts
+    symbol once.  It stops at a dead derivative and returns only bools."""
+    return functools.partial(_fold, memos={})
 
 
 def accepts(e: Regex, word: Sequence[Symbol]) -> bool:
     """Whether ``word`` is in the language of ``e``: the nullability of the
-    live derivative by ``word``, language-equal to the raw one."""
-    return acceptor()(e, word)
+    live derivative by ``word``, language-equal to the raw one.  It is False
+    at once at a derivative whose ``first`` mask is 0, if symbols remain."""
+    return _fold(e, word, {})

@@ -19,13 +19,14 @@ one-symbol step keeps no memo of its own.  It builds its wrappers
 through the maker its caller passes: the monitor's
 :func:`.syntax.builder`, so that a member equal to one built before is
 that very object, or by default ``type.__call__``, as in
-:func:`accepts`, which calls ``Cat`` and ``Shuffle`` and keeps nothing.
+:func:`accepts`, which folds the walk from ``(e,)``, keeps nothing, and
+returns False at the first empty frontier, since no step leaves it.
 :func:`partial_derivatives` is that walk from a single expression.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .automaton import DEFAULT_CLOSURE_CAP, build_nfa, step_frontier
 from .syntax import Regex, Symbol
@@ -51,8 +52,17 @@ def partial_derivatives_word(e: Regex, word: Sequence[Symbol]) -> frozenset[Rege
 
 
 def accepts(e: Regex, word: Sequence[Symbol]) -> bool:
-    """Whether some partial derivative of ``e`` by ``word`` is nullable."""
-    return any(d.nullable for d in partial_derivatives_word(e, word))
+    """Whether some partial derivative of ``e`` by ``word`` is nullable:
+    False at once at an empty frontier, which no step leaves."""
+    frontier: Iterable[Regex] = (e,)
+    for symbol in word:
+        frontier = step_frontier(frontier, symbol)
+        if not frontier:  # no step leaves the empty frontier
+            return False
+    for member in frontier:
+        if member.nullable:
+            return True
+    return False
 
 
 def closure(e: Regex, *, cap: int = DEFAULT_CLOSURE_CAP) -> frozenset[Regex]:

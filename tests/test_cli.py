@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import derivmon
 from derivmon import check, derivative
 from derivmon.cli import main, run
 from derivmon.syntax import Empty, format_regex, parse, size
@@ -276,6 +280,18 @@ class TestMonitor:
         code, out, _ = run_cli(capsys, "monitor", spec, trace)
         assert code == 0
         assert out.strip() == "ACCEPTING"
+
+    def test_closed_output_pipe_exits_141_quietly(self, tmp_path):
+        spec = self.write(tmp_path, "spec.txt", "(a b)*")
+        trace = self.write(tmp_path, "trace.txt", "a b " * 50_000)
+        env = {**os.environ, "PYTHONPATH": str(Path(derivmon.__file__).parents[1])}
+        argv = [sys.executable, "-m", "derivmon", "monitor", spec, trace, "--step"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline() == b"1 a PENDING 1\n"
+            proc.stdout.close()  # the reader goes away with 10^5 lines still to come
+            err = proc.stderr.read()
+        assert proc.returncode == 141
+        assert err == b""
 
     def test_missing_arguments_exit_3_not_violation(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -118,13 +118,32 @@ class TestAccepts:
         assert accepts(parse("a* b*"), ("a", "b"))
         assert not accepts(parse("a"), ())
         assert accepts(parse("a0 || a1"), ("a1", "a0"))
+        # After "a" the derivative is eps: nullable, but no symbol steps it.
+        assert accepts(parse("a"), ("a", "a")) is False
 
     @given(regexes(max_leaves=12), words(("a", "b", "c", "x"), max_len=4))
     @example(Cat(Sym("a"), Sym("b")), ("x", "b"))
+    @example(Sym("a"), ("a", "a"))
     def test_is_the_nullability_of_the_raw_derivative(self, e, word):
         # "x" occurs in no generated expression and shares "a"'s first-mask
         # bit, so the live walk must still apply the symbol rule.
         assert accepts(e, word) == derive_word(e, word).nullable
+
+    def test_stops_at_the_first_dead_derivative(self, monkeypatch):
+        steps, live_step = [], derivative._live_step
+
+        def counted(e, symbol, memo):
+            steps.append(symbol)
+            return live_step(e, symbol, memo)
+
+        monkeypatch.setattr(derivative, "_live_step", counted)
+        e, word = parse("a*"), ("b",) + ("a",) * 50
+        assert accepts(e, word) is False
+        assert steps == ["b"]  # "b" leaves 0, whose first mask is 0
+        in_lang = derivative.acceptor()
+        assert in_lang(e, word) is False
+        assert steps == ["b", "b"]
+        assert "a" not in in_lang.keywords["memos"]  # the acceptor opened no memo for "a"
 
     def test_derives_only_subterms_that_can_read_the_symbol(self):
         def live(e, symbol):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from derivmon import automaton, syntax
+from derivmon import automaton, partial, syntax
 from derivmon.bounds import star_chain_growth
 from derivmon.errors import CapacityError
 from derivmon.partial import (
@@ -177,6 +177,17 @@ class TestAccepts:
         assert not accepts(parse("a* b*"), ("b", "a"))
         assert accepts(parse("a* b*"), ("b", "b"))
         assert not accepts(parse("a0 || a1"), ("a2",))
+
+    def test_stops_at_the_first_empty_frontier(self, monkeypatch):
+        steps, step = [], partial.step_frontier
+
+        def counted(frontier, symbol):
+            steps.append(symbol)
+            return step(frontier, symbol)
+
+        monkeypatch.setattr(partial, "step_frontier", counted)
+        assert accepts(parse("a*"), ("b",) + ("a",) * 50) is False
+        assert steps == ["b"]
 
 
 class TestClosure:
